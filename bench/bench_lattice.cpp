@@ -16,8 +16,6 @@
 #include "core/submodel.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <string_view>
 
 #include "bench_util.h"
 #include "core/adversaries.h"
@@ -29,18 +27,6 @@
 namespace {
 
 using namespace rrfd;
-
-// RRFD_BENCH_ENGINE_PATH=word|set selects the representation the DFS
-// feeds the evaluators (default word), mirroring bench_submodel, so the
-// derived-model placement can be diffed across both engine paths.
-core::EnginePath bench_engine_path() {
-  const char* env = std::getenv("RRFD_BENCH_ENGINE_PATH");
-  if (env == nullptr || *env == '\0') return core::EnginePath::kWord;
-  const std::string_view v(env);
-  RRFD_REQUIRE_MSG(v == "word" || v == "set",
-                   "RRFD_BENCH_ENGINE_PATH must be 'word' or 'set'");
-  return v == "set" ? core::EnginePath::kSet : core::EnginePath::kWord;
-}
 
 struct Entry {
   std::string label;
@@ -171,10 +157,9 @@ void summary() {
       "(n = 3, 2 rounds)",
       "Rows are predicates compiled from src/ho specs; cell vs column:\n"
       "'=' equivalent, '<' strict submodel, '>' strict supermodel,\n"
-      "'#' incomparable. Engine path: RRFD_BENCH_ENGINE_PATH (word).");
+      "'#' incomparable.");
   {
     core::EnumOptions options;
-    options.path = bench_engine_path();
     options.runner = sweep::shard_runner();
     const auto t0 = Clock::now();
     const auto catalog = ho::standard_catalog();
@@ -204,7 +189,6 @@ void summary() {
       "117649 patterns each at n = 3, 2 rounds).");
   {
     core::EnumOptions options;
-    options.path = bench_engine_path();
     options.runner = sweep::shard_runner();
     bench::Table rec({"spec", "hand-written model", "verdict"});
     const std::vector<std::pair<std::string, std::string>> claims = {
@@ -262,10 +246,9 @@ BENCHMARK(bm_sampled_implication)->Arg(8)->Arg(32)->Arg(64)->ArgName("n");
 
 void bm_derived_placement(benchmark::State& state) {
   // One derived model placed against the full reference zoo (18 exact
-  // implications per iteration) on the selected engine path.
+  // implications per iteration).
   const auto derived = ho::compile_text("all(loss_cap(1),no_partition())");
-  core::EnumOptions options;
-  options.path = bench_engine_path();
+  const core::EnumOptions options;
   for (auto _ : state) {
     const auto placement = ho::place_in_zoo(*derived, 3, 1, options);
     benchmark::DoNotOptimize(placement.size());
@@ -278,8 +261,7 @@ void bm_derived_equivalence_recovery(benchmark::State& state) {
   // hand-written detector-S over `rounds` rounds.
   const auto derived = ho::compile_text("kernel(1)");
   const auto target = core::detector_s();
-  core::EnumOptions options;
-  options.path = bench_engine_path();
+  const core::EnumOptions options;
   for (auto _ : state) {
     const auto r = core::equivalent_exhaustive(
         *derived, *target, 3, static_cast<int>(state.range(0)), options);

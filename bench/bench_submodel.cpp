@@ -28,28 +28,15 @@ using Clock = std::chrono::steady_clock;
 /// benchmarks report their speedup against it.
 double g_baseline_patterns_per_s = 0.0;
 
-// RRFD_BENCH_ENGINE_PATH=word|set selects which representation the DFS
-// feeds the evaluators (default word), mirroring bench_substrates, so one
-// binary records the E17 pre/post throughput multiple of the word cores.
-core::EnginePath bench_engine_path() {
-  const char* env = std::getenv("RRFD_BENCH_ENGINE_PATH");
-  if (env == nullptr || *env == '\0') return core::EnginePath::kWord;
-  const std::string_view v(env);
-  RRFD_REQUIRE_MSG(v == "word" || v == "set",
-                   "RRFD_BENCH_ENGINE_PATH must be 'word' or 'set'");
-  return v == "set" ? core::EnginePath::kSet : core::EnginePath::kWord;
-}
-
-// RRFD_SUBMODEL_MEMO=on|off|auto selects the suffix-memoization policy
+// RRFD_SUBMODEL_MEMO=off|auto selects the suffix-memoization policy
 // (default auto), so one binary records the E17 pre-memo/post-memo rows
 // and the E21 equivalence row against the same build.
 core::Memo bench_memo() {
   const char* env = std::getenv("RRFD_SUBMODEL_MEMO");
   if (env == nullptr || *env == '\0') return core::Memo::kAuto;
   const std::string_view v(env);
-  RRFD_REQUIRE_MSG(v == "on" || v == "off" || v == "auto",
-                   "RRFD_SUBMODEL_MEMO must be 'on', 'off', or 'auto'");
-  if (v == "on") return core::Memo::kOn;
+  RRFD_REQUIRE_MSG(v == "off" || v == "auto",
+                   "RRFD_SUBMODEL_MEMO must be 'off' or 'auto'");
   return v == "off" ? core::Memo::kOff : core::Memo::kAuto;
 }
 
@@ -57,7 +44,6 @@ core::EnumOptions mode_options(bool prune, core::Symmetry sym, int threads) {
   core::EnumOptions o;
   o.prune = prune;
   o.symmetry = sym;
-  o.path = bench_engine_path();
   o.memo = bench_memo();
   if (threads > 0) o.runner = sweep::shard_runner(threads);
   return o;
@@ -139,11 +125,11 @@ void summary() {
   core::ImplicationResult serial;
   double serial_s = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
-    core::EnumOptions path_opts;
-    path_opts.path = bench_engine_path();
-    path_opts.memo = bench_memo();
+    core::EnumOptions memo_opts;
+    memo_opts.memo = bench_memo();
     const auto t0 = Clock::now();
-    auto r = sweep::implies_exhaustive(immortal, bound, 4, 2, threads, path_opts);
+    auto r =
+        sweep::implies_exhaustive(immortal, bound, 4, 2, threads, memo_opts);
     const double s = std::chrono::duration<double>(Clock::now() - t0).count();
     if (threads == 1) {
       serial = r;
@@ -212,12 +198,11 @@ void bm_submodel_sharded_n4r2(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   static core::ImplicationResult serial_reference;
   static bool have_reference = false;
-  core::EnumOptions path_opts;
-  path_opts.path = bench_engine_path();
-  path_opts.memo = bench_memo();
+  core::EnumOptions memo_opts;
+  memo_opts.memo = bench_memo();
   core::ImplicationResult r;
   for (auto _ : state) {
-    r = sweep::implies_exhaustive(immortal, bound, 4, 2, threads, path_opts);
+    r = sweep::implies_exhaustive(immortal, bound, 4, 2, threads, memo_opts);
     benchmark::DoNotOptimize(r.holds);
   }
   if (threads == 1 && !have_reference) {
@@ -253,15 +238,14 @@ BENCHMARK(bm_submodel_sharded_n4r2)
     ->Iterations(3);
 
 /// Workload 2 with the memoization policy as the argument (0 = off,
-/// 1 = on), serial, so one run records the memo speedup head-to-head.
+/// 1 = auto), serial, so one run records the memo speedup head-to-head.
 /// The env knob is deliberately ignored here -- this benchmark *is* the
 /// on/off comparison.
 void bm_submodel_memo_n4r2(benchmark::State& state) {
   const core::ImmortalProcess immortal;
   const core::CumulativeFaultBound bound(3);
   core::EnumOptions opts;
-  opts.path = bench_engine_path();
-  opts.memo = state.range(0) != 0 ? core::Memo::kOn : core::Memo::kOff;
+  opts.memo = state.range(0) != 0 ? core::Memo::kAuto : core::Memo::kOff;
   core::ImplicationResult r;
   for (auto _ : state) {
     r = core::implies_exhaustive(immortal, bound, 4, 2, opts);
@@ -295,8 +279,7 @@ void bm_submodel_equiv_n4r3(benchmark::State& state) {
   const core::ImmortalProcess immortal;
   const core::CumulativeFaultBound bound(3);
   core::EnumOptions opts;
-  opts.path = bench_engine_path();
-  opts.memo = core::Memo::kOn;
+  opts.memo = core::Memo::kAuto;
   // Memo hits account the replayed subtree's full node mass, so the
   // budget must cover the *unmemoized* work profile -- that is the point
   // of the exact-stats contract. 1e15 > 7 * 15^12 bounds any 3-round

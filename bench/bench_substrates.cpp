@@ -9,9 +9,6 @@
 //  * snapshot implementations: reference vs Afek construction step costs.
 #include "shm/snapshot.h"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "agreement/flood_min.h"
 #include "bench_util.h"
 #include "core/adversaries.h"
@@ -113,18 +110,6 @@ void summary() {
   }
 }
 
-// RRFD_BENCH_ENGINE_PATH=word|set selects the engine round-loop
-// implementation (default word), so CI can time the same binary over
-// both paths and diff the resulting JSONL rows.
-core::EnginePath bench_engine_path() {
-  const char* env = std::getenv("RRFD_BENCH_ENGINE_PATH");
-  if (env == nullptr || *env == '\0') return core::EnginePath::kWord;
-  const std::string_view v(env);
-  RRFD_REQUIRE_MSG(v == "word" || v == "set",
-                   "RRFD_BENCH_ENGINE_PATH must be 'word' or 'set'");
-  return v == "set" ? core::EnginePath::kSet : core::EnginePath::kWord;
-}
-
 // The round loop every experiment stands on: flood-min over a fault-free
 // adversary, fixed round count, so the timing isolates the engine's
 // emit/announce/deliver cycle rather than any algorithm or adversary cost.
@@ -134,7 +119,6 @@ void bm_engine_round_loop(benchmark::State& state) {
   core::EngineOptions opts;
   opts.max_rounds = rounds;
   opts.stop_when_all_decided = false;
-  opts.path = bench_engine_path();
   core::BenignAdversary adv(n);
   for (auto _ : state) {
     std::vector<agreement::FloodMin> ps;

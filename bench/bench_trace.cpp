@@ -31,9 +31,9 @@ using rrfd::core::BenignAdversary;
 using rrfd::core::DeliveryView;
 using rrfd::core::EngineOptions;
 using rrfd::core::FaultPattern;
+using rrfd::core::ProcessSet;
 using rrfd::core::ProcId;
 using rrfd::core::Round;
-using rrfd::core::RoundFaults;
 using rrfd::agreement::FloodMin;
 
 constexpr int kProcs = 32;
@@ -54,18 +54,19 @@ int run_handrolled(int n) {
   FaultPattern pattern(n);
   std::vector<int> emitted;
   emitted.reserve(static_cast<std::size_t>(n));
+  std::vector<std::uint64_t> d(static_cast<std::size_t>(n));
   for (Round r = 1; r <= kRounds; ++r) {
     emitted.clear();
     for (ProcId i = 0; i < n; ++i) {
       emitted.push_back(ps[static_cast<std::size_t>(i)].emit(r));
     }
-    pattern.append(adv.next_round());
-    const RoundFaults& faults = pattern.round(r);
+    adv.next_round(d.data());
+    pattern.append(d.data());
     for (ProcId i = 0; i < n; ++i) {
-      const DeliveryView<int> view(emitted.data(),
-                                   faults[static_cast<std::size_t>(i)]);
-      ps[static_cast<std::size_t>(i)].absorb(
-          r, view, faults[static_cast<std::size_t>(i)]);
+      const ProcessSet di =
+          ProcessSet::from_bits(n, d[static_cast<std::size_t>(i)]);
+      const DeliveryView<int> view(emitted.data(), di);
+      ps[static_cast<std::size_t>(i)].absorb(r, view, di);
     }
   }
   return ps[0].current_min();

@@ -43,10 +43,11 @@ class FloodMin {
     if (r >= decide_round_) decided_ = true;
   }
 
-  /// Batch absorb for the engine's word path (core::WordAbsorbProcess):
-  /// advances every process one round in a handful of whole-word passes.
+  /// Batch absorb for the engine (core::WordAbsorbProcess): advances
+  /// every process one round in a handful of whole-word passes.
   /// delivered[i] is the word of S \ D(i,r). Observably equivalent to n
-  /// absorb() calls; the equivalence suites check that bit for bit.
+  /// absorb() calls; engine_equivalence_test checks that bit for bit
+  /// against a wrapper that hides this hook.
   ///
   /// The kernel: one linear pass finds the round's global minimum m; any
   /// recipient that hears a sender holding m is settled by a single

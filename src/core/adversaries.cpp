@@ -1,5 +1,7 @@
 #include "core/adversaries.h"
 
+#include <algorithm>
+
 #include "util/str.h"
 
 namespace rrfd::core {
@@ -34,20 +36,13 @@ ProcessSet random_subset_of_size(Rng& rng, const ProcessSet& candidates,
 ScriptedAdversary::ScriptedAdversary(FaultPattern pattern)
     : pattern_(std::move(pattern)) {}
 
-RoundFaults ScriptedAdversary::next_round() {
+void ScriptedAdversary::next_round(std::uint64_t* out) {
   ++round_;
-  if (round_ <= pattern_.rounds()) return pattern_.round(round_);
-  return uniform_round(pattern_.n(), ProcessSet::none(pattern_.n()));
-}
-
-void ScriptedAdversary::next_round_words(std::uint64_t* out) {
-  ++round_;
-  const int count = pattern_.n();
   if (round_ <= pattern_.rounds()) {
-    for (ProcId i = 0; i < count; ++i) out[i] = pattern_.d(i, round_).bits();
+    std::copy_n(pattern_.words(round_), pattern_.n(), out);
     return;
   }
-  for (ProcId i = 0; i < count; ++i) out[i] = 0;  // benign tail
+  std::fill_n(out, pattern_.n(), 0);  // benign tail
 }
 
 // --------------------------------------------------------------------------
@@ -58,12 +53,8 @@ BenignAdversary::BenignAdversary(int n) : n_(n) {
   RRFD_REQUIRE(0 < n && n <= kMaxProcesses);
 }
 
-RoundFaults BenignAdversary::next_round() {
-  return uniform_round(n_, ProcessSet::none(n_));
-}
-
-void BenignAdversary::next_round_words(std::uint64_t* out) {
-  for (ProcId i = 0; i < n_; ++i) out[i] = 0;
+void BenignAdversary::next_round(std::uint64_t* out) {
+  std::fill_n(out, n_, 0);
 }
 
 // --------------------------------------------------------------------------
@@ -92,13 +83,10 @@ void OmissionAdversary::reset() {
   pool_ = random_subset_of_size(rng_, ProcessSet::all(n_), f_);
 }
 
-RoundFaults OmissionAdversary::next_round() {
-  RoundFaults round;
-  round.reserve(static_cast<std::size_t>(n_));
+void OmissionAdversary::next_round(std::uint64_t* out) {
   for (ProcId i = 0; i < n_; ++i) {
-    round.push_back(random_subset(rng_, pool_.without(i), miss_prob_));
+    out[i] = random_subset(rng_, pool_.without(i), miss_prob_).bits();
   }
-  return round;
 }
 
 // --------------------------------------------------------------------------
@@ -124,7 +112,7 @@ void CrashAdversary::reset() {
   announced_ = ProcessSet::none(n_);
 }
 
-RoundFaults CrashAdversary::next_round() {
+void CrashAdversary::next_round(std::uint64_t* out) {
   // Pick the processes crashing this round (within the remaining budget).
   ProcessSet newly(n_);
   for (ProcId p : announced_.complement().members()) {
@@ -135,8 +123,6 @@ RoundFaults CrashAdversary::next_round() {
   // A crashing process is missed by a random subset of the *other*
   // processes in its crash round (partial announcement -- the essence of a
   // crash in a round-based system), and by everyone afterwards.
-  RoundFaults round;
-  round.reserve(static_cast<std::size_t>(n_));
   std::vector<ProcessSet> missed_by;  // per new crasher, who misses it
   std::vector<ProcId> crashers = newly.members();
   missed_by.reserve(crashers.size());
@@ -149,7 +135,7 @@ RoundFaults CrashAdversary::next_round() {
     for (std::size_t idx = 0; idx < crashers.size(); ++idx) {
       if (missed_by[idx].contains(i)) d.add(crashers[idx]);
     }
-    round.push_back(d);
+    out[i] = d.bits();
   }
 
   // Only crashers actually missed by somebody become announced; the others
@@ -157,7 +143,6 @@ RoundFaults CrashAdversary::next_round() {
   for (std::size_t idx = 0; idx < crashers.size(); ++idx) {
     if (!missed_by[idx].empty()) announced_.add(crashers[idx]);
   }
-  return round;
 }
 
 // --------------------------------------------------------------------------
@@ -174,15 +159,11 @@ std::string AsyncAdversary::name() const { return cat("async(f=", f_, ")"); }
 
 void AsyncAdversary::reset() { rng_.reseed(seed_); }
 
-RoundFaults AsyncAdversary::next_round() {
-  RoundFaults round;
-  round.reserve(static_cast<std::size_t>(n_));
+void AsyncAdversary::next_round(std::uint64_t* out) {
   for (ProcId i = 0; i < n_; ++i) {
     const int size = static_cast<int>(rng_.below(static_cast<std::uint64_t>(f_) + 1));
-    round.push_back(random_subset_of_size(rng_, ProcessSet::all(n_), size));
-    (void)i;
+    out[i] = random_subset_of_size(rng_, ProcessSet::all(n_), size).bits();
   }
-  return round;
 }
 
 // --------------------------------------------------------------------------
@@ -199,19 +180,16 @@ std::string SwmrAdversary::name() const { return cat("swmr(f=", f_, ")"); }
 
 void SwmrAdversary::reset() { rng_.reseed(seed_); }
 
-RoundFaults SwmrAdversary::next_round() {
+void SwmrAdversary::next_round(std::uint64_t* out) {
   // The "first writer": announced to nobody this round (predicate 4).
   const ProcId heard = static_cast<ProcId>(rng_.below(static_cast<std::uint64_t>(n_)));
   const ProcessSet candidates = ProcessSet::all(n_).without(heard);
-  RoundFaults round;
-  round.reserve(static_cast<std::size_t>(n_));
   for (ProcId i = 0; i < n_; ++i) {
     const int size = static_cast<int>(rng_.below(static_cast<std::uint64_t>(f_) + 1));
-    round.push_back(
-        random_subset_of_size(rng_, candidates, std::min(size, candidates.size())));
-    (void)i;
+    out[i] = random_subset_of_size(rng_, candidates,
+                                   std::min(size, candidates.size()))
+                 .bits();
   }
-  return round;
 }
 
 // --------------------------------------------------------------------------
@@ -230,22 +208,19 @@ std::string SnapshotAdversary::name() const {
 
 void SnapshotAdversary::reset() { rng_.reseed(seed_); }
 
-RoundFaults SnapshotAdversary::next_round() {
+void SnapshotAdversary::next_round(std::uint64_t* out) {
   // Random ordered partition B_1,...,B_m with |B_1| >= n - f so that no
   // process misses more than f others.
   std::vector<int> order = rng_.permutation(n_);
   const int first_block =
       n_ - f_ + static_cast<int>(rng_.below(static_cast<std::uint64_t>(f_) + 1));
 
-  RoundFaults round(static_cast<std::size_t>(n_), ProcessSet::none(n_));
   ProcessSet prefix(n_);
   int taken = 0;
   std::vector<ProcId> block;
   auto flush_block = [&] {
     for (ProcId p : block) prefix.add(p);
-    for (ProcId p : block) {
-      round[static_cast<std::size_t>(p)] = prefix.complement();
-    }
+    for (ProcId p : block) out[p] = prefix.complement().bits();
     block.clear();
   };
   for (int idx = 0; idx < n_; ++idx) {
@@ -255,7 +230,6 @@ RoundFaults SnapshotAdversary::next_round() {
         taken >= first_block && (taken == first_block || rng_.chance(0.5));
     if (boundary || idx == n_ - 1) flush_block();
   }
-  return round;
 }
 
 // --------------------------------------------------------------------------
@@ -274,7 +248,7 @@ std::string KUncertaintyAdversary::name() const {
 
 void KUncertaintyAdversary::reset() { rng_.reseed(seed_); }
 
-RoundFaults KUncertaintyAdversary::next_round() {
+void KUncertaintyAdversary::next_round(std::uint64_t* out) {
   // Uncertainty set U with |U| < k; base set B announced to everyone,
   // disjoint from U, with |B u U| < n so no D(i,r) can be the full set.
   const int u_size = static_cast<int>(rng_.below(static_cast<std::uint64_t>(k_)));
@@ -286,13 +260,9 @@ RoundFaults KUncertaintyAdversary::next_round() {
       static_cast<int>(rng_.below(static_cast<std::uint64_t>(b_max) + 1));
   const ProcessSet base = random_subset_of_size(rng_, rest, b_size);
 
-  RoundFaults round;
-  round.reserve(static_cast<std::size_t>(n_));
   for (ProcId i = 0; i < n_; ++i) {
-    round.push_back(base | random_subset(rng_, u, 0.5));
-    (void)i;
+    out[i] = (base | random_subset(rng_, u, 0.5)).bits();
   }
-  return round;
 }
 
 // --------------------------------------------------------------------------
@@ -323,15 +293,11 @@ void ImmortalAdversary::reset() {
   }
 }
 
-RoundFaults ImmortalAdversary::next_round() {
+void ImmortalAdversary::next_round(std::uint64_t* out) {
   const ProcessSet candidates = ProcessSet::all(n_).without(immortal_);
-  RoundFaults round;
-  round.reserve(static_cast<std::size_t>(n_));
   for (ProcId i = 0; i < n_; ++i) {
-    round.push_back(random_subset(rng_, candidates, 0.5));
-    (void)i;
+    out[i] = random_subset(rng_, candidates, 0.5).bits();
   }
-  return round;
 }
 
 // --------------------------------------------------------------------------
@@ -345,10 +311,10 @@ EqualAdversary::EqualAdversary(int n, std::uint64_t seed, double miss_prob)
 
 void EqualAdversary::reset() { rng_.reseed(seed_); }
 
-RoundFaults EqualAdversary::next_round() {
+void EqualAdversary::next_round(std::uint64_t* out) {
   ProcessSet d = random_subset(rng_, ProcessSet::all(n_), miss_prob_);
   if (d.full()) d.remove(static_cast<ProcId>(rng_.below(static_cast<std::uint64_t>(n_))));
-  return uniform_round(n_, d);
+  std::fill_n(out, n_, d.bits());
 }
 
 // --------------------------------------------------------------------------
@@ -379,7 +345,7 @@ std::vector<int> ChainAdversary::violating_inputs() const {
   return inputs;
 }
 
-RoundFaults ChainAdversary::next_round() {
+void ChainAdversary::next_round(std::uint64_t* out) {
   ++round_;
   // Everyone crashed before this round is announced to all (including to
   // itself -- it has halted, which the crash predicate exempts).
@@ -388,20 +354,17 @@ RoundFaults ChainAdversary::next_round() {
     for (int m = 0; m < k_; ++m) announced.add(crasher(m, j));
   }
 
-  RoundFaults round(static_cast<std::size_t>(n_), announced);
+  std::fill_n(out, n_, announced.bits());
   if (round_ <= rounds_) {
     for (int m = 0; m < k_; ++m) {
       const ProcId c = crasher(m, round_);
       const ProcId successor =
           (round_ < rounds_) ? crasher(m, round_ + 1) : terminal(m);
       for (ProcId i = 0; i < n_; ++i) {
-        if (i != successor && i != c) {
-          round[static_cast<std::size_t>(i)].add(c);
-        }
+        if (i != successor && i != c) out[i] |= std::uint64_t{1} << c;
       }
     }
   }
-  return round;
 }
 
 }  // namespace rrfd::core

@@ -20,8 +20,7 @@ class ScriptedAdversary final : public Adversary {
 
   int n() const override { return pattern_.n(); }
   std::string name() const override { return "scripted"; }
-  RoundFaults next_round() override;
-  void next_round_words(std::uint64_t* out) override;
+  void next_round(std::uint64_t* out) override;
   void reset() override { round_ = 0; }
 
  private:
@@ -36,8 +35,7 @@ class BenignAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override { return "benign"; }
-  RoundFaults next_round() override;
-  void next_round_words(std::uint64_t* out) override;
+  void next_round(std::uint64_t* out) override;
   void reset() override {}
 
  private:
@@ -53,7 +51,7 @@ class OmissionAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
   /// The pool of potentially-faulty senders chosen at construction.
@@ -79,7 +77,7 @@ class CrashAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
   /// Processes announced (crashed) so far.
@@ -103,7 +101,7 @@ class AsyncAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
  private:
@@ -121,7 +119,7 @@ class SwmrAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
  private:
@@ -142,7 +140,7 @@ class SnapshotAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
  private:
@@ -161,7 +159,7 @@ class KUncertaintyAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
  private:
@@ -179,7 +177,7 @@ class ImmortalAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
   ProcId immortal() const { return immortal_; }
@@ -201,7 +199,7 @@ class EqualAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override { return "equal"; }
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override;
 
  private:
@@ -230,7 +228,7 @@ class ChainAdversary final : public Adversary {
 
   int n() const override { return n_; }
   std::string name() const override;
-  RoundFaults next_round() override;
+  void next_round(std::uint64_t* out) override;
   void reset() override { round_ = 0; }
 
   int rounds() const { return rounds_; }

@@ -1,16 +1,18 @@
 #include "core/adversary.h"
 
-namespace rrfd::core {
+#include <vector>
 
-void Adversary::next_round_words(std::uint64_t* out) {
-  const RoundFaults round = next_round();
-  for (std::size_t i = 0; i < round.size(); ++i) out[i] = round[i].bits();
-}
+namespace rrfd::core {
 
 FaultPattern record_pattern(Adversary& adversary, Round rounds) {
   RRFD_REQUIRE(rounds >= 0);
   FaultPattern pattern(adversary.n());
-  for (Round r = 1; r <= rounds; ++r) pattern.append(adversary.next_round());
+  pattern.reserve_rounds(rounds);
+  std::vector<std::uint64_t> d(static_cast<std::size_t>(adversary.n()));
+  for (Round r = 1; r <= rounds; ++r) {
+    adversary.next_round(d.data());
+    pattern.append(d.data());
+  }
   return pattern;
 }
 

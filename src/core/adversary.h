@@ -17,9 +17,9 @@
 
 namespace rrfd::core {
 
-/// Produces one RoundFaults per call. Stateful: crash adversaries must
-/// remember who is already announced; reset() rewinds to round 1 with the
-/// same seed so a run can be replayed exactly.
+/// Produces one round of announcements per call. Stateful: crash
+/// adversaries must remember who is already announced; reset() rewinds to
+/// round 1 with the same seed so a run can be replayed exactly.
 class Adversary {
  public:
   virtual ~Adversary() = default;
@@ -30,16 +30,9 @@ class Adversary {
   /// Short identifier for traces and bench labels.
   virtual std::string name() const = 0;
 
-  /// Announcements for the next round (first call = round 1).
-  virtual RoundFaults next_round() = 0;
-
-  /// Word form of next_round() for the engine's fast path: writes
-  /// D(i, next round).bits() into out[0..n()). The default bridges
-  /// through next_round(), so the two forms always advance the adversary
-  /// identically; overrides (BenignAdversary, ScriptedAdversary) must
-  /// consume exactly the same randomness as their next_round() so a run
-  /// replays bit-identically whichever form the engine calls.
-  virtual void next_round_words(std::uint64_t* out);
+  /// Announcements for the next round (first call = round 1): writes
+  /// D(i, r).bits() into out[0..n()), every one of the n words.
+  virtual void next_round(std::uint64_t* out) = 0;
 
   /// Rewinds to round 1; the replayed stream is identical.
   virtual void reset() = 0;

@@ -53,11 +53,12 @@ concept RoundProcess = requires(P p, const P cp, Round r,
 ///                const Message* emitted, const std::uint64_t* delivered)
 ///
 /// that advances *every* process for one round, where delivered[i] is the
-/// word of S \ D(i,r). The engine's word path calls it instead of n
-/// per-process absorb() calls, letting the algorithm replace its O(n^2)
+/// word of S \ D(i,r). The engine calls it instead of n per-process
+/// absorb() calls, letting the algorithm replace its O(n^2)
 /// per-recipient scans with whole-round word passes (see
 /// agreement::FloodMin::absorb_round). It must be observably equivalent
-/// to the per-process loop -- the equivalence suites enforce that.
+/// to the per-process loop -- engine_equivalence_test holds FloodMin's
+/// hook against a wrapper that hides it.
 template <typename P>
 concept WordAbsorbProcess =
     RoundProcess<P> &&
@@ -73,8 +74,6 @@ struct EngineOptions {
   /// Stop as soon as every process has decided. When false, runs exactly
   /// max_rounds rounds (used by truncated-algorithm experiments).
   bool stop_when_all_decided = true;
-  /// Round-loop implementation (see EnginePath).
-  EnginePath path = EnginePath::kWord;
 };
 
 /// Outcome of a run.
@@ -138,16 +137,17 @@ struct RunResult {
   }
 };
 
-namespace detail {
-
-/// The round loop, specialized per path at compile time so neither pays
-/// for the other's code (the dead branches cost measurable register
-/// pressure when left to a runtime bool).
-template <bool kWordPath, typename P>
+/// Runs `processes` (one per ProcId, in order) against `adversary`.
+///
+/// Every process keeps participating after deciding (as in the paper's
+/// "forever do" loop); decisions are commitments, not halts. The caller
+/// interprets the decision vector -- e.g. a crash-model experiment ignores
+/// announced processes.
+template <typename P>
   requires RoundProcess<P>
-RunResult<typename P::Decision> run_rounds_impl(
-    std::vector<P>& processes, Adversary& adversary,
-    const EngineOptions& options) {
+RunResult<typename P::Decision> run_rounds(std::vector<P>& processes,
+                                           Adversary& adversary,
+                                           const EngineOptions& options = {}) {
   const int n = adversary.n();
   RRFD_REQUIRE(static_cast<int>(processes.size()) == n);
   RRFD_REQUIRE(options.max_rounds >= 0);
@@ -206,17 +206,14 @@ RunResult<typename P::Decision> run_rounds_impl(
   std::vector<Message> emitted;
   emitted.reserve(static_cast<std::size_t>(n));
 
-  // Word path state: the announcement words land in a struct-of-arrays
-  // arena (converted to the FaultPattern once, after the loop) and the
-  // delivered masks S \ D(i,r) live in one reused n-word row, so a round
-  // costs n word stores instead of a RoundFaults allocation.
+  // Announcements land straight in the pattern's word arena; the adversary
+  // writes each round into one reused n-word row, and the delivered masks
+  // S \ D(i,r) live in another, so a round costs n word stores and no
+  // allocation.
   const std::uint64_t full = full_mask(n);
-  MaskRounds arena(n);
-  std::vector<std::uint64_t> delivered;
-  if constexpr (kWordPath) {
-    arena.reserve_rounds(std::min(options.max_rounds, Round{4096}));
-    delivered.assign(static_cast<std::size_t>(n), 0);
-  }
+  result.pattern.reserve_rounds(std::min(options.max_rounds, Round{4096}));
+  std::vector<std::uint64_t> d(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint64_t> delivered(static_cast<std::size_t>(n), 0);
 
   for (Round r = 1; r <= options.max_rounds; ++r) {
     if (options.stop_when_all_decided && all_decided()) break;
@@ -245,54 +242,27 @@ RunResult<typename P::Decision> run_rounds_impl(
     // m_{j,r} iff p_j not in D(i,r). (S(i,r) = S \ D(i,r); the paper
     // allows overlap of S and D, which delivery-wise is equivalent to the
     // message being dropped, so the engine uses the partition form.)
-    if constexpr (kWordPath) {
-      std::uint64_t* d = arena.push_round();
-      adversary.next_round_words(d);
+    adversary.next_round(d.data());
+    result.pattern.append(d.data());  // enforces D(i,r) within S, != S
+    for (std::size_t i = 0; i < d.size(); ++i) delivered[i] = full & ~d[i];
+    if (tracing) {
       for (ProcId i = 0; i < n; ++i) {
-        const std::uint64_t di = d[static_cast<std::size_t>(i)];
-        RRFD_REQUIRE_MSG((di & ~full) == 0,
-                         "adversary emitted a D(i,r) word outside {0..n-1}");
-        RRFD_REQUIRE_MSG(
-            di != full,
-            "D(i,r) = S is forbidden: not all processes can be late");
-        delivered[static_cast<std::size_t>(i)] = full & ~di;
+        // Engine deliveries are one view per recipient, not n point-to-
+        // point copies: a = the delivered-senders mask S \ D(i,r).
+        trace::record(trace::EventKind::kAnnounce, kSub, i, r,
+                      d[static_cast<std::size_t>(i)]);
+        trace::record(trace::EventKind::kDeliver, kSub, i, r,
+                      delivered[static_cast<std::size_t>(i)]);
       }
-      if (tracing) {
-        for (ProcId i = 0; i < n; ++i) {
-          trace::record(trace::EventKind::kAnnounce, kSub, i, r,
-                        d[static_cast<std::size_t>(i)]);
-          trace::record(trace::EventKind::kDeliver, kSub, i, r,
-                        delivered[static_cast<std::size_t>(i)]);
-        }
-      }
-      if constexpr (WordAbsorbProcess<P>) {
-        P::absorb_round(processes, r, emitted.data(), delivered.data());
-      } else {
-        for (ProcId i = 0; i < n; ++i) {
-          const ProcessSet di =
-              ProcessSet::from_bits(n, d[static_cast<std::size_t>(i)]);
-          const DeliveryView<Message> view(emitted.data(), di);
-          processes[static_cast<std::size_t>(i)].absorb(r, view, di);
-        }
-      }
+    }
+    if constexpr (WordAbsorbProcess<P>) {
+      P::absorb_round(processes, r, emitted.data(), delivered.data());
     } else {
-      result.pattern.append(adversary.next_round());
-      const RoundFaults& faults = result.pattern.round(r);
-
-      if (tracing) {
-        for (ProcId i = 0; i < n; ++i) {
-          const ProcessSet& d = faults[static_cast<std::size_t>(i)];
-          trace::record(trace::EventKind::kAnnounce, kSub, i, r, d.bits());
-          // Engine deliveries are one view per recipient, not n point-to-
-          // point copies: a = the delivered-senders mask S \ D(i,r).
-          trace::record(trace::EventKind::kDeliver, kSub, i, r,
-                        d.complement().bits());
-        }
-      }
       for (ProcId i = 0; i < n; ++i) {
-        const ProcessSet& d = faults[static_cast<std::size_t>(i)];
-        const DeliveryView<Message> view(emitted.data(), d);
-        processes[static_cast<std::size_t>(i)].absorb(r, view, d);
+        const ProcessSet di =
+            ProcessSet::from_bits(n, d[static_cast<std::size_t>(i)]);
+        const DeliveryView<Message> view(emitted.data(), di);
+        processes[static_cast<std::size_t>(i)].absorb(r, view, di);
       }
     }
     if (tracing) {
@@ -301,11 +271,6 @@ RunResult<typename P::Decision> run_rounds_impl(
     }
     result.rounds = r;
   }
-  // The word path records announcements in the arena only; materialize
-  // the FaultPattern (identical to what the set path appends round by
-  // round) once, after the loop.
-  if constexpr (kWordPath) result.pattern = arena.to_fault_pattern();
-
   std::uint64_t decided_mask = 0;
   for (ProcId i = 0; i < n; ++i) {
     const P& p = processes[static_cast<std::size_t>(i)];
@@ -320,24 +285,6 @@ RunResult<typename P::Decision> run_rounds_impl(
                   result.all_decided ? 1 : 0, decided_mask);
   }
   return result;
-}
-
-}  // namespace detail
-
-/// Runs `processes` (one per ProcId, in order) against `adversary`.
-///
-/// Every process keeps participating after deciding (as in the paper's
-/// "forever do" loop); decisions are commitments, not halts. The caller
-/// interprets the decision vector -- e.g. a crash-model experiment ignores
-/// announced processes.
-template <typename P>
-  requires RoundProcess<P>
-RunResult<typename P::Decision> run_rounds(std::vector<P>& processes,
-                                           Adversary& adversary,
-                                           const EngineOptions& options = {}) {
-  return options.path == EnginePath::kWord
-             ? detail::run_rounds_impl<true>(processes, adversary, options)
-             : detail::run_rounds_impl<false>(processes, adversary, options);
 }
 
 }  // namespace rrfd::core

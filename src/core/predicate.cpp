@@ -21,8 +21,8 @@ class WholePatternEvaluator final : public StepEvaluator {
     pattern_ = FaultPattern(n);
   }
 
-  StepVerdict push_round(const RoundFaults& round) override {
-    pattern_.append(round);
+  StepVerdict push_round(const std::uint64_t* d) override {
+    pattern_.append(d);
     return pred_.holds(pattern_) ? StepVerdict::kSatisfiedSoFar
                                  : StepVerdict::kViolatedForever;
   }
@@ -52,14 +52,25 @@ class AndEvaluator final : public StepEvaluator {
     }
   }
 
-  StepVerdict push_round(const RoundFaults& round) override {
-    return push_into_children(
-        [&round](StepEvaluator& e) { return e.push_round(round); });
-  }
-
-  StepVerdict push_round_words(const std::uint64_t* d, int n) override {
-    return push_into_children(
-        [d, n](StepEvaluator& e) { return e.push_round_words(d, n); });
+  StepVerdict push_round(const std::uint64_t* d) override {
+    ++depth_;
+    bool violated = false;
+    bool all_forever = true;
+    for (Child& c : children_) {
+      if (c.forever_at >= 0) continue;  // holds for every extension
+      const StepVerdict v = c.eval->push_round(d);
+      if (v == StepVerdict::kViolatedForever) {
+        violated = true;
+        all_forever = false;
+      } else if (v == StepVerdict::kSatisfiedForever) {
+        c.forever_at = depth_;
+      } else {
+        all_forever = false;
+      }
+    }
+    if (violated) return StepVerdict::kViolatedForever;
+    return all_forever ? StepVerdict::kSatisfiedForever
+                       : StepVerdict::kSatisfiedSoFar;
   }
 
   bool state_bytes(std::vector<std::uint8_t>& out) const override {
@@ -95,28 +106,6 @@ class AndEvaluator final : public StepEvaluator {
   }
 
  private:
-  template <typename Push>
-  StepVerdict push_into_children(const Push& push) {
-    ++depth_;
-    bool violated = false;
-    bool all_forever = true;
-    for (Child& c : children_) {
-      if (c.forever_at >= 0) continue;  // holds for every extension
-      const StepVerdict v = push(*c.eval);
-      if (v == StepVerdict::kViolatedForever) {
-        violated = true;
-        all_forever = false;
-      } else if (v == StepVerdict::kSatisfiedForever) {
-        c.forever_at = depth_;
-      } else {
-        all_forever = false;
-      }
-    }
-    if (violated) return StepVerdict::kViolatedForever;
-    return all_forever ? StepVerdict::kSatisfiedForever
-                       : StepVerdict::kSatisfiedSoFar;
-  }
-
   struct Child {
     std::unique_ptr<StepEvaluator> eval;
     Round forever_at;  ///< depth of a kSatisfiedForever verdict; -1 if none
@@ -137,21 +126,12 @@ std::optional<std::vector<std::uint8_t>> StepEvaluator::state_key() const {
   return out;
 }
 
-StepVerdict StepEvaluator::push_round_words(const std::uint64_t* d, int n) {
-  RoundFaults round;
-  round.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    round.push_back(ProcessSet::from_bits(n, d[i]));
-  }
-  return push_round(round);
-}
-
 bool Predicate::holds_all_prefixes(const FaultPattern& pattern) const {
   if (!holds(FaultPattern(pattern.n()))) return false;  // the empty prefix
   const auto eval = evaluator();
   eval->begin(pattern.n(), pattern.rounds());
   for (Round r = 1; r <= pattern.rounds(); ++r) {
-    if (eval->push_round(pattern.round(r)) == StepVerdict::kViolatedForever) {
+    if (eval->push_round(pattern.words(r)) == StepVerdict::kViolatedForever) {
       return false;
     }
   }

@@ -106,20 +106,10 @@ class StepEvaluator {
   virtual void begin(int n, Round total_rounds) = 0;
 
   /// Extends the pattern by one round and reports the verdict for the
-  /// extended prefix. `round` must be a legal RoundFaults over n processes
-  /// (every D a proper subset of S); it is only valid for the duration of
-  /// the call.
-  virtual StepVerdict push_round(const RoundFaults& round) = 0;
-
-  /// Word-path variant of push_round: `d[i]` is D(i,r).bits() for the
-  /// same legal round over `n` processes (`n` must match begin()'s).
-  /// Interchangeable with push_round call-for-call -- the two may be
-  /// mixed on one evaluator and pop_round() retracts either. The default
-  /// bridges by materializing ProcessSets; the zoo evaluators override
-  /// it with *independently written* whole-word cores, so the
-  /// differential suites compare two genuinely distinct evaluations of
-  /// every predicate.
-  virtual StepVerdict push_round_words(const std::uint64_t* d, int n);
+  /// extended prefix. `d[i]` is D(i,r).bits() for i < n (begin()'s n);
+  /// the round must be legal (every D a proper subset of S), and `d` is
+  /// only valid for the duration of the call.
+  virtual StepVerdict push_round(const std::uint64_t* d) = 0;
 
   /// Retracts the most recently pushed round.
   virtual void pop_round() = 0;

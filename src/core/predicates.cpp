@@ -15,17 +15,15 @@ namespace {
 // Incremental evaluators
 //
 // Each evaluator keeps a stack of per-depth summaries so pop_round() is an
-// O(1) truncation; push_round() is O(n) set algebra. Verdicts are exact at
-// every depth: kViolatedForever iff the pushed prefix violates the
-// predicate (which, for these zoo predicates, all extensions then do too),
-// kSatisfiedForever only when no legal continuation can violate it.
+// O(1) truncation; push_round() is O(n) word algebra over d[i] =
+// D(i,r).bits(). Verdicts are exact at every depth: kViolatedForever iff
+// the pushed prefix violates the predicate (which, for these zoo
+// predicates, all extensions then do too), kSatisfiedForever only when no
+// legal continuation can violate it.
 //
-// Every evaluator implements the check twice: once over ProcessSets
-// (push_round / violates) and once over raw uint64_t words
-// (push_round_words / violates_words). The word cores are written from
-// the predicate's definition, NOT by delegating to the set code, so the
-// differential suites hold two independent derivations of each model
-// against each other.
+// The word cores are written from the predicate's definition, NOT by
+// delegating to holds(): the conformance suites hold each one against the
+// set-algebra holds() below on every prefix.
 // ---------------------------------------------------------------------------
 
 /// Base for constraints that are a conjunction of independent per-round
@@ -37,18 +35,8 @@ class PerRoundEvaluator : public StepEvaluator {
     viol_.assign(1, 0);
   }
 
-  StepVerdict push_round(const RoundFaults& round) override {
-    const bool violated = viol_.back() != 0 || violates(round);
-    viol_.push_back(violated ? 1 : 0);
-    if (violated) return StepVerdict::kViolatedForever;
-    return vacuous() ? StepVerdict::kSatisfiedForever
-                     : StepVerdict::kSatisfiedSoFar;
-  }
-
-  StepVerdict push_round_words(const std::uint64_t* d,
-                               [[maybe_unused]] int n) override {
-    RRFD_ASSERT(n == n_);
-    const bool violated = viol_.back() != 0 || violates_words(d);
+  StepVerdict push_round(const std::uint64_t* d) override {
+    const bool violated = viol_.back() != 0 || violates(d);
     viol_.push_back(violated ? 1 : 0);
     if (violated) return StepVerdict::kViolatedForever;
     return vacuous() ? StepVerdict::kSatisfiedForever
@@ -65,10 +53,8 @@ class PerRoundEvaluator : public StepEvaluator {
   }
 
  protected:
-  virtual bool violates(const RoundFaults& round) const = 0;
-
-  /// Word core of the same check: d[i] = D(i,r).bits(), n_ words.
-  virtual bool violates_words(const std::uint64_t* d) const = 0;
+  /// The per-round check: d[i] = D(i,r).bits(), n_ words.
+  virtual bool violates(const std::uint64_t* d) const = 0;
 
   /// True when no legal round (every D a proper subset of S) can violate
   /// the constraint; the verdict is then kSatisfiedForever.
@@ -87,48 +73,26 @@ class NoSelfSuspicionEvaluator final : public StepEvaluator {
   void begin(int n, Round /*total_rounds*/) override {
     n_ = n;
     states_.clear();
-    states_.push_back({ProcessSet(n), false});
+    states_.push_back({0, false});
   }
 
-  StepVerdict push_round(const RoundFaults& round) override {
-    const State& prev = states_.back();
-    bool violated = prev.violated;
-    if (!violated) {
-      for (ProcId i = 0; i < n_; ++i) {
-        if (round[static_cast<std::size_t>(i)].contains(i) &&
-            !(exempt_ && prev.announced.contains(i))) {
-          violated = true;
-          break;
-        }
-      }
-    }
-    ProcessSet announced = prev.announced;
-    for (const ProcessSet& d : round) announced |= d;
-    const bool exhausted = exempt_ && announced.full();
-    states_.push_back({announced, violated});
-    if (violated) return StepVerdict::kViolatedForever;
-    // Once everybody has been announced, every future self-suspicion is
-    // exempt: the predicate can no longer be violated.
-    return exhausted ? StepVerdict::kSatisfiedForever
-                     : StepVerdict::kSatisfiedSoFar;
-  }
-
-  StepVerdict push_round_words(const std::uint64_t* d, int n) override {
-    RRFD_ASSERT(n == n_);
+  StepVerdict push_round(const std::uint64_t* d) override {
     const State& prev = states_.back();
     // diag bit i <=> p_i in D(i,r); a violation is a diagonal bit outside
     // the exemption mask (empty when !exempt_).
     std::uint64_t diag = 0;
     std::uint64_t u = 0;
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < n_; ++i) {
       diag |= (d[i] >> i & 1) << i;
       u |= d[i];
     }
-    const std::uint64_t exempt_mask = exempt_ ? prev.announced.bits() : 0;
+    const std::uint64_t exempt_mask = exempt_ ? prev.announced : 0;
     const bool violated = prev.violated || (diag & ~exempt_mask) != 0;
-    const std::uint64_t announced = prev.announced.bits() | u;
-    const bool exhausted = exempt_ && announced == full_mask(n);
-    states_.push_back({ProcessSet::from_bits(n, announced), violated});
+    const std::uint64_t announced = prev.announced | u;
+    // Once everybody has been announced, every future self-suspicion is
+    // exempt: the predicate can no longer be violated.
+    const bool exhausted = exempt_ && announced == full_mask(n_);
+    states_.push_back({announced, violated});
     if (violated) return StepVerdict::kViolatedForever;
     return exhausted ? StepVerdict::kSatisfiedForever
                      : StepVerdict::kSatisfiedSoFar;
@@ -145,14 +109,14 @@ class NoSelfSuspicionEvaluator final : public StepEvaluator {
       statekey::append_u8(out, 0xFF);
     } else {
       statekey::append_u8(out, 0x00);
-      if (exempt_) statekey::append_u64(out, s.announced.bits());
+      if (exempt_) statekey::append_u64(out, s.announced);
     }
     return true;
   }
 
  private:
   struct State {
-    ProcessSet announced;  ///< cumulative union of the pushed rounds
+    std::uint64_t announced;  ///< cumulative union of the pushed rounds
     bool violated;
   };
   bool exempt_;
@@ -166,25 +130,15 @@ class CumulativeFaultBoundEvaluator final : public StepEvaluator {
 
   void begin(int n, Round /*total_rounds*/) override {
     n_ = n;
-    cums_.assign(1, ProcessSet(n));
+    cums_.assign(1, 0);
   }
 
-  StepVerdict push_round(const RoundFaults& round) override {
-    ProcessSet cum = cums_.back();
-    for (const ProcessSet& d : round) cum |= d;
+  StepVerdict push_round(const std::uint64_t* d) override {
+    std::uint64_t cum = cums_.back();
+    for (int i = 0; i < n_; ++i) cum |= d[i];
     cums_.push_back(cum);
-    if (cum.size() > f_) return StepVerdict::kViolatedForever;
-    // With f >= n the bound can never be exceeded.
-    return f_ >= n_ ? StepVerdict::kSatisfiedForever
-                    : StepVerdict::kSatisfiedSoFar;
-  }
-
-  StepVerdict push_round_words(const std::uint64_t* d, int n) override {
-    RRFD_ASSERT(n == n_);
-    std::uint64_t cum = cums_.back().bits();
-    for (int i = 0; i < n; ++i) cum |= d[i];
-    cums_.push_back(ProcessSet::from_bits(n, cum));
     if (std::popcount(cum) > f_) return StepVerdict::kViolatedForever;
+    // With f >= n the bound can never be exceeded.
     return f_ >= n_ ? StepVerdict::kSatisfiedForever
                     : StepVerdict::kSatisfiedSoFar;
   }
@@ -194,12 +148,12 @@ class CumulativeFaultBoundEvaluator final : public StepEvaluator {
   bool state_bytes(std::vector<std::uint8_t>& out) const override {
     // The cumulative union only grows along a suffix, so an over-budget
     // union is absorbing and collapses to one tag.
-    const ProcessSet& cum = cums_.back();
-    if (cum.size() > f_) {
+    const std::uint64_t cum = cums_.back();
+    if (std::popcount(cum) > f_) {
       statekey::append_u8(out, 0xFF);
     } else {
       statekey::append_u8(out, 0x00);
-      statekey::append_u64(out, cum.bits());
+      statekey::append_u64(out, cum);
     }
     return true;
   }
@@ -207,7 +161,7 @@ class CumulativeFaultBoundEvaluator final : public StepEvaluator {
  private:
   int f_;
   int n_ = 0;
-  std::vector<ProcessSet> cums_;
+  std::vector<std::uint64_t> cums_;
 };
 
 class CrashMonotonicityEvaluator final : public StepEvaluator {
@@ -217,39 +171,20 @@ class CrashMonotonicityEvaluator final : public StepEvaluator {
     states_.clear();
     // Empty sentinel union: round 1 has no predecessor, and the empty set
     // is a subset of everything, so the first check is vacuous.
-    states_.push_back({ProcessSet(n), false});
+    states_.push_back({0, false});
   }
 
-  StepVerdict push_round(const RoundFaults& round) override {
+  StepVerdict push_round(const std::uint64_t* d) override {
     const State& prev = states_.back();
-    bool violated = prev.violated;
-    if (!violated) {
-      for (const ProcessSet& d : round) {
-        if (!prev.round_union.subset_of(d)) {
-          violated = true;
-          break;
-        }
-      }
-    }
-    ProcessSet u(n_);
-    for (const ProcessSet& d : round) u |= d;
-    states_.push_back({u, violated});
-    return violated ? StepVerdict::kViolatedForever
-                    : StepVerdict::kSatisfiedSoFar;
-  }
-
-  StepVerdict push_round_words(const std::uint64_t* d, int n) override {
-    RRFD_ASSERT(n == n_);
-    const State& prev = states_.back();
-    const std::uint64_t must = prev.round_union.bits();
+    const std::uint64_t must = prev.round_union;
     std::uint64_t missing = 0;  // announced-last-round bits absent from some D
     std::uint64_t u = 0;
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < n_; ++i) {
       missing |= must & ~d[i];
       u |= d[i];
     }
     const bool violated = prev.violated || missing != 0;
-    states_.push_back({ProcessSet::from_bits(n, u), violated});
+    states_.push_back({u, violated});
     return violated ? StepVerdict::kViolatedForever
                     : StepVerdict::kSatisfiedSoFar;
   }
@@ -262,14 +197,14 @@ class CrashMonotonicityEvaluator final : public StepEvaluator {
       statekey::append_u8(out, 0xFF);  // sticky
     } else {
       statekey::append_u8(out, 0x00);
-      statekey::append_u64(out, s.round_union.bits());
+      statekey::append_u64(out, s.round_union);
     }
     return true;
   }
 
  private:
   struct State {
-    ProcessSet round_union;  ///< union of the most recently pushed round
+    std::uint64_t round_union;  ///< union of the most recently pushed round
     bool violated;
   };
   int n_ = 0;
@@ -281,13 +216,7 @@ class PerRoundFaultBoundEvaluator final : public PerRoundEvaluator {
   explicit PerRoundFaultBoundEvaluator(int f) : f_(f) {}
 
  protected:
-  bool violates(const RoundFaults& round) const override {
-    for (const ProcessSet& d : round) {
-      if (d.size() > f_) return true;
-    }
-    return false;
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     for (int i = 0; i < n_; ++i) {
       if (std::popcount(d[i]) > f_) return true;
     }
@@ -302,10 +231,7 @@ class PerRoundFaultBoundEvaluator final : public PerRoundEvaluator {
 
 class SomeoneHeardByAllEvaluator final : public PerRoundEvaluator {
  protected:
-  bool violates(const RoundFaults& round) const override {
-    return union_over(round).size() >= n_;
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     std::uint64_t u = 0;
     for (int i = 0; i < n_; ++i) u |= d[i];
     return u == full_mask(n_);
@@ -315,15 +241,7 @@ class SomeoneHeardByAllEvaluator final : public PerRoundEvaluator {
 
 class NoMutualMissEvaluator final : public PerRoundEvaluator {
  protected:
-  bool violates(const RoundFaults& round) const override {
-    for (ProcId i = 0; i < n_; ++i) {
-      for (ProcId j : round[static_cast<std::size_t>(i)]) {
-        if (round[static_cast<std::size_t>(j)].contains(i)) return true;
-      }
-    }
-    return false;
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     // Bit-scan row i and test the transposed bit: a mutual miss is a
     // symmetric pair (bit j of d[i], bit i of d[j]) both set.
     for (int i = 0; i < n_; ++i) {
@@ -339,17 +257,7 @@ class NoMutualMissEvaluator final : public PerRoundEvaluator {
 
 class ContainmentChainEvaluator final : public PerRoundEvaluator {
  protected:
-  bool violates(const RoundFaults& round) const override {
-    for (ProcId i = 0; i < n_; ++i) {
-      const ProcessSet& di = round[static_cast<std::size_t>(i)];
-      for (ProcId j = i + 1; j < n_; ++j) {
-        const ProcessSet& dj = round[static_cast<std::size_t>(j)];
-        if (!di.subset_of(dj) && !dj.subset_of(di)) return true;
-      }
-    }
-    return false;
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     // a \subseteq b  <=>  (a & ~b) == 0; a chain is pairwise one-way
     // containment.
     for (int i = 0; i < n_; ++i) {
@@ -366,42 +274,33 @@ class ImmortalProcessEvaluator final : public StepEvaluator {
  public:
   void begin(int n, Round /*total_rounds*/) override {
     n_ = n;
-    cums_.assign(1, ProcessSet(n));
+    cums_.assign(1, 0);
   }
 
-  StepVerdict push_round(const RoundFaults& round) override {
-    ProcessSet cum = cums_.back();
-    for (const ProcessSet& d : round) cum |= d;
+  StepVerdict push_round(const std::uint64_t* d) override {
+    std::uint64_t cum = cums_.back();
+    for (int i = 0; i < n_; ++i) cum |= d[i];
     cums_.push_back(cum);
-    return cum.size() >= n_ ? StepVerdict::kViolatedForever
-                            : StepVerdict::kSatisfiedSoFar;
-  }
-
-  StepVerdict push_round_words(const std::uint64_t* d, int n) override {
-    RRFD_ASSERT(n == n_);
-    std::uint64_t cum = cums_.back().bits();
-    for (int i = 0; i < n; ++i) cum |= d[i];
-    cums_.push_back(ProcessSet::from_bits(n, cum));
-    return cum == full_mask(n) ? StepVerdict::kViolatedForever
-                               : StepVerdict::kSatisfiedSoFar;
+    return cum == full_mask(n_) ? StepVerdict::kViolatedForever
+                                : StepVerdict::kSatisfiedSoFar;
   }
 
   void pop_round() override { cums_.pop_back(); }
 
   bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    const ProcessSet& cum = cums_.back();
-    if (cum.size() >= n_) {
+    const std::uint64_t cum = cums_.back();
+    if (cum == full_mask(n_)) {
       statekey::append_u8(out, 0xFF);  // everyone announced: sticky
     } else {
       statekey::append_u8(out, 0x00);
-      statekey::append_u64(out, cum.bits());
+      statekey::append_u64(out, cum);
     }
     return true;
   }
 
  private:
   int n_ = 0;
-  std::vector<ProcessSet> cums_;
+  std::vector<std::uint64_t> cums_;
 };
 
 class KUncertaintyEvaluator final : public PerRoundEvaluator {
@@ -409,12 +308,7 @@ class KUncertaintyEvaluator final : public PerRoundEvaluator {
   explicit KUncertaintyEvaluator(int k) : k_(k) {}
 
  protected:
-  bool violates(const RoundFaults& round) const override {
-    const ProcessSet disagreement =
-        union_over(round) - intersection_over(round);
-    return disagreement.size() >= k_;
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     // Disagreement = OR \ AND of the round's announcements.
     std::uint64_t any = 0;
     std::uint64_t every = full_mask(n_);
@@ -433,13 +327,7 @@ class KUncertaintyEvaluator final : public PerRoundEvaluator {
 
 class EqualAnnouncementsEvaluator final : public PerRoundEvaluator {
  protected:
-  bool violates(const RoundFaults& round) const override {
-    for (ProcId i = 1; i < n_; ++i) {
-      if (round[static_cast<std::size_t>(i)] != round[0]) return true;
-    }
-    return false;
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     // XOR against the first row folds all inequality into one word.
     std::uint64_t diff = 0;
     for (int i = 1; i < n_; ++i) diff |= d[i] ^ d[0];
@@ -464,10 +352,7 @@ class QuorumSkewEvaluator final : public PerRoundEvaluator {
   QuorumSkewEvaluator(int t, int f) : t_(t), f_(f) {}
 
  protected:
-  bool violates(const RoundFaults& round) const override {
-    return !quorum_round_ok(round, t_, f_);
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     // Same minimal-witness argument as quorum_round_ok, over popcounts.
     int oversized = 0;
     for (int i = 0; i < n_; ++i) {
@@ -487,13 +372,7 @@ class QuorumSkewEvaluator final : public PerRoundEvaluator {
 
 class NeverFaultyEvaluator final : public PerRoundEvaluator {
  protected:
-  bool violates(const RoundFaults& round) const override {
-    for (const ProcessSet& d : round) {
-      if (!d.empty()) return true;
-    }
-    return false;
-  }
-  bool violates_words(const std::uint64_t* d) const override {
+  bool violates(const std::uint64_t* d) const override {
     std::uint64_t u = 0;
     for (int i = 0; i < n_; ++i) u |= d[i];
     return u != 0;

@@ -190,10 +190,6 @@ class ProcessSet {
   std::string to_string() const;
 
  private:
-  // The SoA word arena writes pre-validated words straight into bits_
-  // when materializing a FaultPattern (core/words.h).
-  friend class MaskRounds;
-
   void check_member(ProcId p) const { RRFD_REQUIRE(0 <= p && p < n_); }
   void check_same(const ProcessSet& o) const { RRFD_REQUIRE(n_ == o.n_); }
 

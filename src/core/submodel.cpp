@@ -98,8 +98,8 @@ class PatternOdometer {
 /// One renaming pi, tabulated for O(1) application to a D-set mask and to
 /// an observer index.
 struct PermTable {
-  std::vector<int> inverse;            ///< inverse[j] = pi^-1(j)
-  std::vector<std::int64_t> mask_map;  ///< mask_map[m] = pi(m)
+  std::vector<int> inverse;             ///< inverse[j] = pi^-1(j)
+  std::vector<std::uint64_t> mask_map;  ///< mask_map[m] = pi(m)
 };
 
 std::vector<PermTable> build_perm_tables(int n) {
@@ -116,10 +116,10 @@ std::vector<PermTable> build_perm_tables(int n) {
     const std::int64_t n_masks = std::int64_t{1} << n;
     t.mask_map.assign(static_cast<std::size_t>(n_masks), 0);
     for (std::int64_t m = 0; m < n_masks; ++m) {
-      std::int64_t image = 0;
+      std::uint64_t image = 0;
       for (int i = 0; i < n; ++i) {
         if ((m >> i) & 1) {
-          image |= std::int64_t{1} << perm[static_cast<std::size_t>(i)];
+          image |= std::uint64_t{1} << perm[static_cast<std::size_t>(i)];
         }
       }
       t.mask_map[static_cast<std::size_t>(m)] = image;
@@ -184,16 +184,15 @@ struct SearchSpec {
   std::int64_t v;  ///< digit base 2^n - 1
   bool prune_a;    ///< cut subtrees on A kViolatedForever
   bool prune_b;    ///< cut subtrees on B kSatisfiedForever
-  bool word_mode;  ///< feed evaluators raw digit words, skip ProcessSets
   bool use_symmetry;
   std::int64_t node_budget;
   /// leaves_below[d] = v^(n * (rounds - d)): complete patterns under one
   /// depth-d node.
   std::vector<std::int64_t> leaves_below;
   std::vector<PermTable> perms;  ///< empty unless use_symmetry
-  /// Suffix-count memoization requested (Memo::kAuto/kOn with rounds >=
-  /// 2). Each worker still probes evaluator keyability and quietly runs
-  /// the plain DFS when either evaluator is keyless.
+  /// Suffix-count memoization requested (Memo::kAuto with rounds >= 2).
+  /// Each worker still probes evaluator keyability and quietly runs the
+  /// plain DFS when either evaluator is keyless.
   bool use_memo = false;
   /// Depth-1 entries shared by all shards, filled by the serial seed
   /// pass; null when seeding was skipped or produced nothing.
@@ -219,11 +218,8 @@ class ShardWorker {
         out_(out),
         a_eval_(spec.a.evaluator()),
         b_eval_(spec.b.evaluator()) {
-    buf_.resize(static_cast<std::size_t>(spec.rounds) + 1);
     digits_.resize(static_cast<std::size_t>(spec.rounds) + 1);
     for (Round d = 0; d <= spec.rounds; ++d) {
-      buf_[static_cast<std::size_t>(d)].assign(
-          static_cast<std::size_t>(spec.n), ProcessSet(spec.n));
       digits_[static_cast<std::size_t>(d)].assign(
           static_cast<std::size_t>(spec.n), 0);
     }
@@ -241,13 +237,12 @@ class ShardWorker {
     for (std::int64_t k = first; k < total; k += stride) {
       std::int64_t rem = k;
       for (int i = 0; i < spec_.n; ++i) {
+        // Divide before the store: a store in between keeps the compiler
+        // from fusing % and / into one division.
         const std::int64_t digit = rem % spec_.v;
         rem /= spec_.v;
-        digits_[1][static_cast<std::size_t>(i)] = digit;
-        if (!spec_.word_mode) {
-          buf_[1][static_cast<std::size_t>(i)] = ProcessSet::from_bits(
-              spec_.n, static_cast<std::uint64_t>(digit));
-        }
+        digits_[1][static_cast<std::size_t>(i)] =
+            static_cast<std::uint64_t>(digit);
       }
       std::int64_t orbit = 1;
       if (spec_.use_symmetry) {
@@ -287,13 +282,12 @@ class ShardWorker {
     for (std::int64_t k = 0; k < total; ++k) {
       std::int64_t rem = k;
       for (int i = 0; i < spec_.n; ++i) {
+        // Divide before the store: a store in between keeps the compiler
+        // from fusing % and / into one division.
         const std::int64_t digit = rem % spec_.v;
         rem /= spec_.v;
-        digits_[1][static_cast<std::size_t>(i)] = digit;
-        if (!spec_.word_mode) {
-          buf_[1][static_cast<std::size_t>(i)] = ProcessSet::from_bits(
-              spec_.n, static_cast<std::uint64_t>(digit));
-        }
+        digits_[1][static_cast<std::size_t>(i)] =
+            static_cast<std::uint64_t>(digit);
       }
       std::int64_t orbit = 1;
       if (spec_.use_symmetry) {
@@ -319,7 +313,7 @@ class ShardWorker {
     for (const PermTable& p : spec_.perms) {
       int cmp = 0;
       for (int j = 0; j < n; ++j) {
-        const std::int64_t image =
+        const std::uint64_t image =
             p.mask_map[static_cast<std::size_t>(
                 d[static_cast<std::size_t>(
                     p.inverse[static_cast<std::size_t>(j)])])];
@@ -347,45 +341,20 @@ class ShardWorker {
 
   FaultPattern materialize() const {
     FaultPattern p(spec_.n);
-    if (spec_.word_mode) {
-      // buf_ is not maintained in word mode; rebuild from the digits.
-      RoundFaults round(static_cast<std::size_t>(spec_.n),
-                        ProcessSet(spec_.n));
-      for (Round d = 1; d <= spec_.rounds; ++d) {
-        for (int i = 0; i < spec_.n; ++i) {
-          round[static_cast<std::size_t>(i)] = ProcessSet::from_bits(
-              spec_.n,
-              static_cast<std::uint64_t>(
-                  digits_[static_cast<std::size_t>(d)]
-                         [static_cast<std::size_t>(i)]));
-        }
-        p.append(round);
-      }
-    } else {
-      for (Round d = 1; d <= spec_.rounds; ++d) {
-        p.append(buf_[static_cast<std::size_t>(d)]);
-      }
+    for (Round d = 1; d <= spec_.rounds; ++d) {
+      p.append(digits_[static_cast<std::size_t>(d)].data());
     }
     return p;
   }
 
-  /// Pushes the depth's round assignment into one evaluator through the
-  /// selected representation. In word mode the odometer digits are handed
-  /// over directly -- digit masks are non-negative, so reading the int64
-  /// storage as uint64 words is value-preserving (and signed/unsigned
-  /// aliasing of the same width is well-defined).
+  /// Pushes the depth's round assignment -- its odometer digits are the
+  /// D(i,r) words -- into one evaluator.
   StepVerdict push_current(StepEvaluator& eval, Round depth) const {
-    if (spec_.word_mode) {
-      return eval.push_round_words(
-          reinterpret_cast<const std::uint64_t*>(
-              digits_[static_cast<std::size_t>(depth)].data()),
-          spec_.n);
-    }
-    return eval.push_round(buf_[static_cast<std::size_t>(depth)]);
+    return eval.push_round(digits_[static_cast<std::size_t>(depth)].data());
   }
 
   /// Evaluates the node whose round assignment the caller placed in
-  /// buf_/digits_ at `depth` and recurses below it. Returns false to
+  /// digits_ at `depth` and recurses below it. Returns false to
   /// abort the shard (counterexample recorded or budget exhausted).
   bool descend(Round depth, std::int64_t orbit) {
     if (++stats_.nodes > spec_.node_budget) {
@@ -577,30 +546,17 @@ class ShardWorker {
   /// the first-round index decoding in run().
   bool enumerate_level(Round depth, std::int64_t orbit) {
     auto& digits = digits_[static_cast<std::size_t>(depth)];
-    RoundFaults& round = buf_[static_cast<std::size_t>(depth)];
-    const bool sets = !spec_.word_mode;
+    const auto max_digit = static_cast<std::uint64_t>(spec_.v - 1);
     std::fill(digits.begin(), digits.end(), 0);
-    if (sets) {
-      for (int i = 0; i < spec_.n; ++i) {
-        round[static_cast<std::size_t>(i)] = ProcessSet(spec_.n);
-      }
-    }
     for (;;) {
       if (!descend(depth, orbit)) return false;
       int i = 0;
-      while (i < spec_.n &&
-             digits[static_cast<std::size_t>(i)] == spec_.v - 1) {
+      while (i < spec_.n && digits[static_cast<std::size_t>(i)] == max_digit) {
         digits[static_cast<std::size_t>(i)] = 0;
-        if (sets) round[static_cast<std::size_t>(i)] = ProcessSet(spec_.n);
         ++i;
       }
       if (i == spec_.n) return true;  // wrapped: level exhausted
       ++digits[static_cast<std::size_t>(i)];
-      if (sets) {
-        round[static_cast<std::size_t>(i)] = ProcessSet::from_bits(
-            spec_.n,
-            static_cast<std::uint64_t>(digits[static_cast<std::size_t>(i)]));
-      }
     }
   }
 
@@ -615,8 +571,8 @@ class ShardWorker {
   EnumStats stats_;  ///< shard-local; published to out_ once in run()
   std::optional<FaultPattern> counterexample_;
   bool budget_exceeded_ = false;
-  std::vector<RoundFaults> buf_;                 ///< [1..rounds] in-place
-  std::vector<std::vector<std::int64_t>> digits_;  ///< mask per (depth, proc)
+  /// D(i,r) word per (depth, proc); rows [1..rounds] are edited in place.
+  std::vector<std::vector<std::uint64_t>> digits_;
   // --- suffix-count memoization (all idle unless memo_on_) ---
   bool memo_on_ = false;               ///< requested and both evaluators keyed
   std::vector<MemoTable> memo_;        ///< indexed by rounds remaining
@@ -633,7 +589,6 @@ ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
   SearchSpec spec{a, b, n, rounds, (std::int64_t{1} << n) - 1,
                   /*prune_a=*/options.prune && a.prunable(),
                   /*prune_b=*/options.prune,
-                  /*word_mode=*/options.path == EnginePath::kWord,
                   /*use_symmetry=*/false, options.node_budget,
                   /*leaves_below=*/{}, /*perms=*/{}};
   RRFD_REQUIRE_MSG(spec.node_budget > 0, "node budget must be positive");
@@ -668,8 +623,8 @@ ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
   const std::int64_t total_roots = *checked_space(n, n);
 
   // With a single round every inner node is a root, so there is no
-  // suffix to memoize; kAuto and kOn agree on when memoization is sound.
-  spec.use_memo = options.memo != Memo::kOff && rounds >= 2;
+  // suffix to memoize.
+  spec.use_memo = options.memo == Memo::kAuto && rounds >= 2;
 
   // Seed pass: depth-1 states repeat *across* shards, so per-shard
   // tables alone cannot collapse that redundancy. When walking the roots

@@ -85,9 +85,6 @@ enum class Memo {
   kAuto,
   /// Never memoize.
   kOff,
-  /// Memoize whenever sound (same conditions as kAuto today; kept
-  /// distinct so kAuto may grow cost heuristics without a knob change).
-  kOn,
 };
 
 /// Executes `job(0) .. job(n_jobs - 1)`, each exactly once, in any order
@@ -111,11 +108,9 @@ struct EnumOptions {
   std::int64_t node_budget = 1'000'000'000;
   /// Shard executor; null runs shards serially in-process.
   ShardRunner runner;
-  /// Which representation the DFS feeds the evaluators: kWord hands the
-  /// odometer digits to StepEvaluator::push_round_words directly (no
-  /// ProcessSet materialization per node); kSet is the original
-  /// RoundFaults path, kept as the equivalence oracle. Same verdicts,
-  /// counts, and counterexamples either way.
+  /// The round representation the DFS feeds the evaluators. kWord is the
+  /// only one: the odometer digits are the D(i,r) words handed to
+  /// StepEvaluator::push_round.
   EnginePath path = EnginePath::kWord;
   /// Suffix-count memoization over canonical evaluator states. Like
   /// every other knob: only changes how fast, never which answer.

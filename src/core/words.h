@@ -1,37 +1,24 @@
-// Word-level mask utilities for the engine's fast path.
+// Word-level mask utilities.
 //
-// A ProcessSet is one 64-bit word plus the system size; the fast round
-// loop hoists those words out of the per-object wrappers into
-// struct-of-arrays arenas so whole rounds can be combined with plain
-// AND/OR/popcount passes. Everything here is bit-for-bit interchangeable
-// with the ProcessSet / FaultPattern path: MaskRounds::to_fault_pattern
-// reproduces the exact FaultPattern the set-based loop would have built,
-// and the equivalence suites (tests/core/engine_equivalence_test.cpp,
-// tests/core/differential_oracle_test.cpp) hold the two representations
-// against each other on every run.
+// A ProcessSet is one 64-bit word plus the system size; every hot path
+// (the engine's round loop, the predicates' incremental evaluators, the
+// submodel DFS) works on those words directly, and FaultPattern stores a
+// round as n of them (DESIGN.md "Word arenas").
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <vector>
 
-#include "core/fault_pattern.h"
-#include "core/process_set.h"
 #include "core/types.h"
 #include "util/check.h"
 
 namespace rrfd::core {
 
-/// Which representation a round loop or enumeration walks. The two are
-/// observably identical -- same result bytes, same trace events, same
-/// RNG consumption; kSet is the original per-ProcessSet code, kept as
-/// the checked slow path / equivalence oracle for the word-parallel
-/// kWord implementation (DESIGN.md "Word arenas"). Selects the engine
-/// loop via EngineOptions::path and the submodel DFS via
-/// EnumOptions::path.
+/// The representation the submodel DFS walks. A round has exactly one
+/// representation, n uint64_t words; the enumerator survives only so
+/// that EnumOptions::path keeps accepting its one legal value.
 enum class EnginePath : std::uint8_t {
-  kWord = 0,  ///< SoA uint64_t arenas, whole-word predicate cores
-  kSet,       ///< per-round RoundFaults allocation + per-set algebra
+  kWord = 0,  ///< n uint64_t words per round
 };
 
 /// The mask of S = {0..n-1} as a raw word (ProcessSet::all(n).bits()
@@ -49,97 +36,5 @@ inline int nth_set_bit(std::uint64_t bits, int k) {
   for (; k > 0; --k) bits &= bits - 1;  // drop the k lowest members
   return std::countr_zero(bits);
 }
-
-/// A fault pattern as a struct-of-arrays word arena: round-major storage,
-/// `round(r)[i]` = D(i,r).bits(). This is what the engine's word path
-/// records instead of per-round vector<ProcessSet> allocations; the
-/// amortized per-round cost is n word stores.
-class MaskRounds {
- public:
-  explicit MaskRounds(int n) : n_(n) {
-    RRFD_REQUIRE(0 < n && n <= kMaxProcesses);
-  }
-
-  int n() const { return n_; }
-  Round rounds() const {
-    return static_cast<Round>(words_.size() / static_cast<std::size_t>(n_));
-  }
-
-  /// Pre-allocates storage for `r` rounds (push_round never reallocates
-  /// until they are used up).
-  void reserve_rounds(Round r) {
-    if (r > 0) {
-      words_.reserve(static_cast<std::size_t>(r) *
-                     static_cast<std::size_t>(n_));
-    }
-  }
-
-  /// Appends one zeroed round and returns its n-word slice for the caller
-  /// to fill. The pointer is valid until the next push_round().
-  std::uint64_t* push_round() {
-    words_.resize(words_.size() + static_cast<std::size_t>(n_), 0);
-    return words_.data() + words_.size() - static_cast<std::size_t>(n_);
-  }
-
-  void pop_round() {
-    RRFD_REQUIRE(rounds() > 0);
-    words_.resize(words_.size() - static_cast<std::size_t>(n_));
-  }
-
-  /// Words of (1-based) round r: round(r)[i] = D(i,r).bits().
-  const std::uint64_t* round(Round r) const {
-    RRFD_REQUIRE(1 <= r && r <= rounds());
-    return words_.data() +
-           static_cast<std::size_t>(r - 1) * static_cast<std::size_t>(n_);
-  }
-
-  /// Union / intersection over i of D(i,r), as words.
-  std::uint64_t round_or(Round r) const {
-    const std::uint64_t* d = round(r);
-    std::uint64_t u = 0;
-    for (int i = 0; i < n_; ++i) u |= d[i];
-    return u;
-  }
-  std::uint64_t round_and(Round r) const {
-    const std::uint64_t* d = round(r);
-    std::uint64_t x = full_mask(n_);
-    for (int i = 0; i < n_; ++i) x &= d[i];
-    return x;
-  }
-
-  /// The equivalent set-based pattern (identical to what FaultPattern
-  /// appends would have produced round by round). Words are validated
-  /// when they are recorded -- the engine REQUIREs mask-within-S and
-  /// D != S on every word it pushes -- so this writes them straight into
-  /// the pattern's storage and only re-checks in debug builds.
-  FaultPattern to_fault_pattern() const {
-    FaultPattern p(n_);
-    p.rounds_.reserve(static_cast<std::size_t>(rounds()));
-    [[maybe_unused]] const std::uint64_t full = full_mask(n_);
-    for (Round r = 1; r <= rounds(); ++r) {
-      const std::uint64_t* d = round(r);
-      RoundFaults rf(static_cast<std::size_t>(n_), ProcessSet(n_));
-      for (int i = 0; i < n_; ++i) {
-        RRFD_ASSERT((d[i] & ~full) == 0 && d[i] != full);
-        rf[static_cast<std::size_t>(i)].bits_ = d[i];
-      }
-      p.rounds_.push_back(std::move(rf));
-    }
-    return p;
-  }
-
-  static MaskRounds from_fault_pattern(const FaultPattern& p) {
-    MaskRounds m(p.n());
-    for (Round r = 1; r <= p.rounds(); ++r) {
-      std::uint64_t* d = m.push_round();
-      for (int i = 0; i < p.n(); ++i) d[i] = p.d(i, r).bits();
-    }
-    return m;
-  }
-
- private:
-  int n_;
-  std::vector<std::uint64_t> words_;
-};
 
 }  // namespace rrfd::core

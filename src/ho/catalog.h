@@ -46,8 +46,8 @@ struct Placement {
 };
 
 /// Places `derived` against every reference_zoo() member by exhaustive
-/// implication at (n, rounds). `options` selects engine path / pruning /
-/// symmetry / runner, so callers can route the decision through the
+/// implication at (n, rounds). `options` selects pruning / symmetry /
+/// memoization / runner, so callers can route the decision through the
 /// parallel sweep executor (sweep::shard_runner).
 std::vector<Placement> place_in_zoo(const core::Predicate& derived, int n,
                                     core::Round rounds,

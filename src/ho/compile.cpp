@@ -31,9 +31,10 @@ namespace statekey = core::statekey;
 // Round-local primitive checks.
 //
 // Two independently written cores per primitive: the set core works in
-// ProcessSet algebra, the word core in raw masks. The differential and
-// conformance suites hold them against each other on every derived
-// model, the same regime the hand-written zoo lives under.
+// ProcessSet algebra and serves the whole-pattern interpreter (holds()),
+// the word core in raw masks serves the incremental nodes. The
+// conformance suites hold the nodes against holds() on every prefix of
+// every derived model, the same regime the hand-written zoo lives under.
 // --------------------------------------------------------------------------
 
 bool prim_ok_set(const Spec& s, const RoundFaults& round) {
@@ -249,8 +250,8 @@ class Node {
   /// enclosing windows); budget primitives use it for their vacuity
   /// licence.
   virtual void begin(int n, Round total) = 0;
-  virtual void push_set(const RoundFaults& round) = 0;
-  virtual void push_words(const std::uint64_t* d) = 0;
+  /// Extends the scope by one round: d[i] = D(i,r).bits(), n words.
+  virtual void push_round(const std::uint64_t* d) = 0;
   virtual void pop() = 0;
   virtual StepVerdict current() const = 0;
   /// Canonical state fingerprint under the StepEvaluator::state_bytes
@@ -274,11 +275,10 @@ class PerRoundNode final : public Node {
     vacuous_ = prim_vacuous(spec_, n);
     violated_.clear();
   }
-  void push_set(const RoundFaults& round) override {
-    push(prim_ok_set(spec_, round));
-  }
-  void push_words(const std::uint64_t* d) override {
-    push(prim_ok_words(spec_, d, n_));
+  void push_round(const std::uint64_t* d) override {
+    const bool prev = !violated_.empty() && violated_.back() != 0;
+    violated_.push_back(
+        static_cast<char>(prev || !prim_ok_words(spec_, d, n_)));
   }
   void pop() override { violated_.pop_back(); }
   StepVerdict current() const override {
@@ -295,11 +295,6 @@ class PerRoundNode final : public Node {
   }
 
  private:
-  void push(bool round_ok) {
-    const bool prev = !violated_.empty() && violated_.back() != 0;
-    violated_.push_back(static_cast<char>(prev || !round_ok));
-  }
-
   const Spec& spec_;
   int n_ = 0;
   bool vacuous_ = false;
@@ -318,11 +313,9 @@ class EventuallyNode final : public Node {
     n_ = n;
     seen_.clear();
   }
-  void push_set(const RoundFaults& round) override {
-    push(prim_ok_set(body_, round));
-  }
-  void push_words(const std::uint64_t* d) override {
-    push(prim_ok_words(body_, d, n_));
+  void push_round(const std::uint64_t* d) override {
+    const bool prev = !seen_.empty() && seen_.back() != 0;
+    seen_.push_back(static_cast<char>(prev || prim_ok_words(body_, d, n_)));
   }
   void pop() override { seen_.pop_back(); }
   StepVerdict current() const override {
@@ -338,11 +331,6 @@ class EventuallyNode final : public Node {
   }
 
  private:
-  void push(bool round_ok) {
-    const bool prev = !seen_.empty() && seen_.back() != 0;
-    seen_.push_back(static_cast<char>(prev || round_ok));
-  }
-
   const Spec& body_;
   int n_ = 0;
   std::vector<char> seen_;
@@ -358,11 +346,8 @@ class AllNode final : public Node {
   void begin(int n, Round total) override {
     for (auto& c : children_) c->begin(n, total);
   }
-  void push_set(const RoundFaults& round) override {
-    for (auto& c : children_) c->push_set(round);
-  }
-  void push_words(const std::uint64_t* d) override {
-    for (auto& c : children_) c->push_words(d);
+  void push_round(const std::uint64_t* d) override {
+    for (auto& c : children_) c->push_round(d);
   }
   void pop() override {
     for (auto& c : children_) c->pop();
@@ -406,13 +391,9 @@ class WindowNode final : public Node {
     const Round child_hi = (hi_ == 0) ? total : std::min(hi_, total);
     child_->begin(n, std::max(0, child_hi - lo_ + 1));
   }
-  void push_set(const RoundFaults& round) override {
+  void push_round(const std::uint64_t* d) override {
     ++depth_;
-    if (in_window(depth_)) child_->push_set(round);
-  }
-  void push_words(const std::uint64_t* d) override {
-    ++depth_;
-    if (in_window(depth_)) child_->push_words(d);
+    if (in_window(depth_)) child_->push_round(d);
   }
   void pop() override {
     if (in_window(depth_)) child_->pop();
@@ -461,21 +442,7 @@ class LinkBudgetNode final : public Node {
     history_.clear();
     over_.assign(1, 0);
   }
-  void push_set(const RoundFaults& round) override {
-    const std::size_t base = history_.size();
-    history_.resize(base + static_cast<std::size_t>(n_));
-    int over = over_.back();
-    for (std::size_t i = 0; i < round.size(); ++i) {
-      history_[base + i] = round[i].bits();
-      for (ProcId j : round[i]) {
-        if (++drops_[link_index(n_, static_cast<int>(i), j)] == budget_ + 1) {
-          ++over;
-        }
-      }
-    }
-    over_.push_back(over);
-  }
-  void push_words(const std::uint64_t* d) override {
+  void push_round(const std::uint64_t* d) override {
     const std::size_t base = history_.size();
     history_.resize(base + static_cast<std::size_t>(n_));
     int over = over_.back();
@@ -536,18 +503,7 @@ class CrashOnlyNode final : public Node {
     n_ = n;
     state_.assign(1, State{0, false});
   }
-  void push_set(const RoundFaults& round) override {
-    const State top = state_.back();
-    bool violated = top.violated;
-    const ProcessSet announced = ProcessSet::from_bits(n_, top.prev_union);
-    ProcessSet next(n_);
-    for (const ProcessSet& d : round) {
-      if (state_.size() > 1 && !announced.subset_of(d)) violated = true;
-      next |= d;
-    }
-    state_.push_back(State{next.bits(), violated});
-  }
-  void push_words(const std::uint64_t* d) override {
+  void push_round(const std::uint64_t* d) override {
     const State top = state_.back();
     bool violated = top.violated;
     std::uint64_t next = 0;
@@ -593,12 +549,7 @@ class CumulativeCapNode final : public Node {
     cap_ = (kind_ == SpecKind::kFaultyCap) ? value_ : n - value_;
     unions_.assign(1, 0);
   }
-  void push_set(const RoundFaults& round) override {
-    ProcessSet u = ProcessSet::from_bits(n_, unions_.back());
-    for (const ProcessSet& d : round) u |= d;
-    unions_.push_back(u.bits());
-  }
-  void push_words(const std::uint64_t* d) override {
+  void push_round(const std::uint64_t* d) override {
     std::uint64_t u = unions_.back();
     for (int i = 0; i < n_; ++i) u |= d[i];
     unions_.push_back(u);
@@ -644,23 +595,7 @@ class DelayCapNode final : public Node {
                static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0));
     violated_.assign(1, 0);
   }
-  void push_set(const RoundFaults& round) override {
-    const std::vector<int>& prev = runs_.back();
-    std::vector<int> next(prev.size());
-    bool violated = violated_.back() != 0;
-    for (int i = 0; i < n_; ++i) {
-      const ProcessSet& d = round[static_cast<std::size_t>(i)];
-      for (ProcId j = 0; j < n_; ++j) {
-        const std::size_t link = link_index(n_, i, j);
-        const int run = d.contains(j) ? prev[link] + 1 : 0;
-        next[link] = run;
-        if (run > cap_) violated = true;
-      }
-    }
-    runs_.push_back(std::move(next));
-    violated_.push_back(static_cast<char>(violated));
-  }
-  void push_words(const std::uint64_t* d) override {
+  void push_round(const std::uint64_t* d) override {
     const std::vector<int>& prev = runs_.back();
     std::vector<int> next(prev.size());
     bool violated = violated_.back() != 0;
@@ -742,17 +677,10 @@ class HoEvaluator final : public core::StepEvaluator {
 
   void begin(int n, Round total_rounds) override {
     RRFD_REQUIRE_MSG(max_id_ < n, "spec names a process id >= n");
-    n_ = n;
     root_->begin(n, total_rounds);
   }
-  StepVerdict push_round(const RoundFaults& round) override {
-    RRFD_ASSERT(static_cast<int>(round.size()) == n_);
-    root_->push_set(round);
-    return root_->current();
-  }
-  StepVerdict push_round_words(const std::uint64_t* d, int n) override {
-    RRFD_ASSERT(n == n_);
-    root_->push_words(d);
+  StepVerdict push_round(const std::uint64_t* d) override {
+    root_->push_round(d);
     return root_->current();
   }
   void pop_round() override { root_->pop(); }
@@ -763,7 +691,6 @@ class HoEvaluator final : public core::StepEvaluator {
  private:
   std::unique_ptr<Node> root_;
   int max_id_;
-  int n_ = 0;
 };
 
 class HoPredicate final : public core::Predicate {

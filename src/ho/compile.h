@@ -6,10 +6,9 @@
 //
 //  - holds() is a whole-pattern set-algebra interpreter over the spec;
 //  - evaluator() is a tree of incremental nodes mirroring the spec, with
-//    *independently written* push_round (ProcessSet algebra) and
-//    push_round_words (raw-word) cores per primitive, so the
-//    differential suites compare two genuinely distinct evaluations of
-//    every derived model;
+//    raw-word cores per primitive written independently of holds(), so
+//    the conformance suites compare two genuinely distinct evaluations
+//    of every derived model;
 //  - prunable()/symmetric() come from ho::derive_traits(), i.e. from the
 //    primitives' closure properties, never from optimism. A spec
 //    containing eventually() is honestly non-prunable and the DFS

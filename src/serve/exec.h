@@ -6,7 +6,7 @@
 //                 seeded k-uncertainty adversaries (the E1 workload);
 //                 one `row` per trial carrying the decision digest.
 //   modelcheck -> ho::compile_text both specs, then
-//                 sweep::equivalent_exhaustive on the word path; rows
+//                 sweep::equivalent_exhaustive; rows
 //                 carry the per-direction verdicts and pattern counts.
 //   replay     -> parse the uploaded rrfd-trace-v1, re-instantiate the
 //                 named protocol, re-run it under the trace's scripted

@@ -1,6 +1,8 @@
 #include "trace/replay.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "core/adversaries.h"
 #include "util/str.h"
@@ -26,26 +28,41 @@ TraceReplayer::TraceReplayer(Trace trace) : trace_(std::move(trace)) {
 }
 
 core::FaultPattern TraceReplayer::recorded_pattern() const {
+  // The rounds come from untrusted input, so bound them by the evidence
+  // before allocating anything: a genuine trace announces every round it
+  // covers, hence its largest announce round is at most its number of
+  // announce events.
   core::Round max_round = 0;
-  for (const TraceEvent& ev : trace_.events) {
-    if (ev.kind == EventKind::kAnnounce) {
-      max_round = std::max(max_round, static_cast<core::Round>(ev.round));
-    }
-  }
-  std::vector<core::RoundFaults> rounds(
-      static_cast<std::size_t>(max_round),
-      core::RoundFaults(static_cast<std::size_t>(n_),
-                        core::ProcessSet::none(n_)));
+  std::size_t announces = 0;
   for (const TraceEvent& ev : trace_.events) {
     if (ev.kind != EventKind::kAnnounce) continue;
     RRFD_REQUIRE_MSG(1 <= ev.round && 0 <= ev.proc && ev.proc < n_,
                      "announce event out of range: " + to_string(ev));
-    rounds[static_cast<std::size_t>(ev.round - 1)]
-          [static_cast<std::size_t>(ev.proc)] =
-        core::ProcessSet::from_bits(n_, ev.a);
+    max_round = std::max(max_round, static_cast<core::Round>(ev.round));
+    ++announces;
+  }
+  RRFD_REQUIRE_MSG(static_cast<std::size_t>(max_round) <= announces,
+                   cat("trace announces round ", max_round, " but holds only ",
+                       announces, " announce events"));
+  const auto width = static_cast<std::size_t>(n_);
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(max_round) * width,
+                                   0);
+  std::vector<std::uint64_t> seen(static_cast<std::size_t>(max_round), 0);
+  for (const TraceEvent& ev : trace_.events) {
+    if (ev.kind != EventKind::kAnnounce) continue;
+    const auto r = static_cast<std::size_t>(ev.round - 1);
+    const std::uint64_t bit = std::uint64_t{1} << ev.proc;
+    RRFD_REQUIRE_MSG((seen[r] & bit) == 0,
+                     "announce event repeats a (round, process) pair: " +
+                         to_string(ev));
+    seen[r] |= bit;
+    words[r * width + static_cast<std::size_t>(ev.proc)] = ev.a;
   }
   core::FaultPattern pattern(n_);
-  for (core::RoundFaults& round : rounds) pattern.append(std::move(round));
+  pattern.reserve_rounds(max_round);
+  for (std::size_t r = 0; r < seen.size(); ++r) {
+    pattern.append(words.data() + r * width);
+  }
   return pattern;
 }
 

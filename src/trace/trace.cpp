@@ -274,28 +274,26 @@ class LineParser {
     return out;
   }
 
-  std::int64_t int_value() {
+  /// A signed integer field stored as int32_t (process id, round, log
+  /// level). A wider value could not round-trip, so it is rejected with
+  /// the field's name rather than narrowed.
+  std::int32_t int32_value(const std::string& field) {
     const bool negative = consume('-');
     RRFD_REQUIRE_MSG(pos_ < line_.size() && std::isdigit(
                          static_cast<unsigned char>(line_[pos_])),
                      where() + ": expected integer");
-    std::uint64_t v = 0;
+    // Largest magnitude: 2^31 for negatives, 2^31 - 1 otherwise.
+    const std::int64_t limit =
+        std::int64_t{std::numeric_limits<std::int32_t>::max()} +
+        (negative ? 1 : 0);
+    std::int64_t v = 0;
     while (pos_ < line_.size() &&
            std::isdigit(static_cast<unsigned char>(line_[pos_]))) {
-      const std::uint64_t digit =
-          static_cast<std::uint64_t>(line_[pos_++] - '0');
-      RRFD_REQUIRE_MSG(v <= (~std::uint64_t{0} - digit) / 10,
-                       where() + ": integer overflow");
-      v = v * 10 + digit;
+      v = v * 10 + (line_[pos_++] - '0');
+      RRFD_REQUIRE_MSG(v <= limit, where() + ": field '" + field +
+                                       "' is outside int32_t");
     }
-    if (negative) {
-      RRFD_REQUIRE_MSG(v <= static_cast<std::uint64_t>(
-                                std::numeric_limits<std::int64_t>::max()),
-                       where() + ": integer overflow");
-      return -static_cast<std::int64_t>(v);
-    }
-    // Values above int64 max are a/b bitmask words; the caller re-widens.
-    return static_cast<std::int64_t>(v);
+    return static_cast<std::int32_t>(negative ? -v : v);
   }
 
   std::uint64_t uint_value() {
@@ -381,7 +379,7 @@ Trace read_trace(std::istream& is) {
       if (kind == "log") {
         p.expect(',');
         RRFD_REQUIRE_MSG(p.key() == "level", p.where() + ": expected level");
-        const auto level = static_cast<int>(p.int_value());
+        const int level = p.int32_value("level");
         p.expect(',');
         RRFD_REQUIRE_MSG(p.key() == "msg", p.where() + ": expected msg");
         trace.logs.emplace_back(level, p.string_value());
@@ -397,10 +395,10 @@ Trace read_trace(std::istream& is) {
       ev.substrate = substrate_from_name(p.string_value(), p.where());
       p.expect(',');
       RRFD_REQUIRE_MSG(p.key() == "p", p.where() + ": expected p");
-      ev.proc = static_cast<std::int32_t>(p.int_value());
+      ev.proc = p.int32_value("p");
       p.expect(',');
       RRFD_REQUIRE_MSG(p.key() == "r", p.where() + ": expected r");
-      ev.round = static_cast<std::int32_t>(p.int_value());
+      ev.round = p.int32_value("r");
       p.expect(',');
       RRFD_REQUIRE_MSG(p.key() == "a", p.where() + ": expected a");
       ev.a = p.uint_value();

@@ -54,7 +54,10 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   // every raw draw is then a valid sample (below(0) would be a contract
   // violation).
   if (span == 0) return static_cast<std::int64_t>(next());
-  return lo + static_cast<std::int64_t>(below(span));
+  // Offset in unsigned arithmetic: lo + draw can exceed int64 on the way
+  // to a result in [lo, hi], and signed overflow is undefined.
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   below(span));
 }
 
 bool Rng::chance(double p) {

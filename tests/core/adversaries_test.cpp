@@ -124,12 +124,12 @@ TEST(ScriptedAdversary, ReplaysThenGoesBenign) {
   FaultPattern p(3);
   p.append({ProcessSet(3, {1}), ProcessSet(3), ProcessSet(3)});
   ScriptedAdversary adv(p);
-  RoundFaults r1 = adv.next_round();
+  RoundFaults r1 = record_pattern(adv, 1).round(1);
   EXPECT_EQ(r1[0], ProcessSet(3, {1}));
-  RoundFaults r2 = adv.next_round();
+  RoundFaults r2 = record_pattern(adv, 1).round(1);
   EXPECT_TRUE(union_over(r2).empty());
   adv.reset();
-  EXPECT_EQ(adv.next_round()[0], ProcessSet(3, {1}));
+  EXPECT_EQ(record_pattern(adv, 1).d(0, 1), ProcessSet(3, {1}));
 }
 
 TEST(BenignAdversary, NeverAnnounces) {
@@ -172,7 +172,7 @@ TEST(CrashAdversary, AnnouncementsAreMonotone) {
   CrashAdversary adv(8, 4, /*seed=*/21, /*crash_prob=*/0.5);
   ProcessSet prev(8);
   for (Round r = 1; r <= 10; ++r) {
-    adv.next_round();
+    record_pattern(adv, 1);
     EXPECT_TRUE(prev.subset_of(adv.announced()));
     prev = adv.announced();
   }
@@ -200,13 +200,13 @@ TEST(ChainAdversary, IsAValidSyncCrashPattern) {
 TEST(ChainAdversary, OnlySuccessorHearsTheCrasher) {
   ChainAdversary adv(8, 4, 2);  // R = 2 rounds, chains {0,2},{1,3}
   ASSERT_EQ(adv.rounds(), 2);
-  RoundFaults r1 = adv.next_round();
+  RoundFaults r1 = record_pattern(adv, 1).round(1);
   // Round 1 crashers are 0 and 1; successors are 2 and 3.
   for (ProcId i = 0; i < 8; ++i) {
     EXPECT_EQ(!r1[static_cast<std::size_t>(i)].contains(0), i == 2 || i == 0);
     EXPECT_EQ(!r1[static_cast<std::size_t>(i)].contains(1), i == 3 || i == 1);
   }
-  RoundFaults r2 = adv.next_round();
+  RoundFaults r2 = record_pattern(adv, 1).round(1);
   // Round 2: 0 and 1 announced everywhere; crashers 2,3 heard only by the
   // terminals 4 and 5.
   for (ProcId i = 0; i < 8; ++i) {

@@ -23,7 +23,7 @@ TEST(AdversaryStats, OmissionTargetsDifferentObserversDifferently) {
   OmissionAdversary adv(8, 3, /*seed=*/5);
   bool asymmetric = false;
   for (int r = 0; r < 20 && !asymmetric; ++r) {
-    RoundFaults round = adv.next_round();
+    RoundFaults round = record_pattern(adv, 1).round(1);
     for (std::size_t i = 1; i < round.size(); ++i) {
       asymmetric = asymmetric || round[i] != round[0];
     }
@@ -35,7 +35,9 @@ TEST(AdversaryStats, AsyncMissSizesSpreadOverTheBound) {
   AsyncAdversary adv(10, 3, /*seed=*/11);
   std::map<int, int> size_histogram;
   for (int r = 0; r < 200; ++r) {
-    for (const ProcessSet& d : adv.next_round()) ++size_histogram[d.size()];
+    for (const ProcessSet& d : record_pattern(adv, 1).round(1)) {
+      ++size_histogram[d.size()];
+    }
   }
   // All sizes 0..f occur, none beyond f.
   for (int s = 0; s <= 3; ++s) EXPECT_GT(size_histogram[s], 0) << s;
@@ -47,7 +49,7 @@ TEST(AdversaryStats, AsyncMissSizesSpreadOverTheBound) {
 
 TEST(AdversaryStats, CrashAdversaryEventuallySpendsItsBudget) {
   CrashAdversary adv(8, 3, /*seed=*/2, /*crash_prob=*/0.3);
-  for (int r = 0; r < 60; ++r) adv.next_round();
+  record_pattern(adv, 60);
   EXPECT_EQ(adv.announced().size(), 3);
 }
 
@@ -70,7 +72,7 @@ TEST(AdversaryStats, SnapshotBlocksVaryInSize) {
   SnapshotAdversary adv(8, 4, /*seed=*/9);
   std::set<int> first_miss_sizes;
   for (int r = 0; r < 100; ++r) {
-    RoundFaults round = adv.next_round();
+    RoundFaults round = record_pattern(adv, 1).round(1);
     // The largest D in the chain = misses of the first block's members.
     int largest = 0;
     for (const ProcessSet& d : round) largest = std::max(largest, d.size());
@@ -85,7 +87,7 @@ TEST(AdversaryStats, SwmrExemptProcessRotates) {
   SwmrAdversary adv(6, 2, /*seed=*/13);
   ProcessSet ever_exempt(6);
   for (int r = 0; r < 100; ++r) {
-    RoundFaults round = adv.next_round();
+    RoundFaults round = record_pattern(adv, 1).round(1);
     const ProcessSet announced = union_over(round);
     // Exempt processes this round:
     ever_exempt |= announced.complement();
@@ -99,7 +101,7 @@ TEST(AdversaryStats, KUncertaintyUsesPartialAnnouncements) {
   int partial_rounds = 0;
   const int rounds = 200;
   for (int r = 0; r < rounds; ++r) {
-    RoundFaults round = adv.next_round();
+    RoundFaults round = record_pattern(adv, 1).round(1);
     const ProcessSet diff = union_over(round) - intersection_over(round);
     partial_rounds += !diff.empty();
   }
@@ -109,7 +111,9 @@ TEST(AdversaryStats, KUncertaintyUsesPartialAnnouncements) {
 TEST(AdversaryStats, EqualAdversaryCoversManySets) {
   EqualAdversary adv(6, /*seed=*/31, /*miss_prob=*/0.4);
   std::set<std::uint64_t> seen;
-  for (int r = 0; r < 200; ++r) seen.insert(adv.next_round()[0].bits());
+  for (int r = 0; r < 200; ++r) {
+    seen.insert(record_pattern(adv, 1).d(0, 1).bits());
+  }
   EXPECT_GE(seen.size(), 15u);
 }
 

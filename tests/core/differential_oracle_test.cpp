@@ -1,20 +1,21 @@
-// Differential oracle suite: the word path held against the set path
-// everywhere both exist (DESIGN.md "Word arenas").
+// Differential oracle suite: the word cores held against independent
+// references (DESIGN.md "Word arenas").
 //
-// Three layers, one contract each:
-//  * evaluators: push_round_words and push_round are independently
-//    written implementations of the same predicate semantics, so a seeded
-//    random push/pop walk must produce verdict-identical streams --
-//    including on an evaluator that mixes the two representations
-//    call-for-call;
-//  * submodel search: EnumOptions::path=kWord feeds odometer digits to
-//    the evaluators directly; it must reproduce the kSet verdicts,
-//    counterexamples, and every EnumStats counter exactly, under both
-//    symmetry settings and under a threaded shard runner (this suite is
-//    in the TSan CI net for that reason);
+// Three layers, one oracle each:
+//  * evaluators: every push_round verdict of a seeded random push/pop
+//    walk must equal the predicate's set-algebra holds() on the pushed
+//    prefix, for the zoo and for custom predicates on the whole-pattern
+//    fallback;
+//  * submodel search: every verdict must match the naive
+//    enumerate_patterns + holds() sweep (the "paths" the test names
+//    compare are the DFS and that sweep), decide the whole space when the
+//    implication holds, and otherwise return a counterexample holds()
+//    confirms -- under both symmetry settings and under a threaded shard
+//    runner (this suite is in the TSan CI net for that reason);
 //  * engine: randomized configurations (n, adversary, seed, horizon,
-//    stop rule) must give byte-identical RunResults and trace streams on
-//    both EnginePath settings.
+//    stop rule) must give byte-identical RunResults and trace streams
+//    whether FloodMin absorbs a round through its batch hook or per
+//    process.
 //
 // engine_equivalence_test.cpp covers the engine on a fixed grid; this
 // suite adds the randomized sweep and the evaluator/submodel layers.
@@ -28,115 +29,36 @@
 #include <utility>
 #include <vector>
 
-#include "agreement/flood_min.h"
 #include "core/adversaries.h"
-#include "core/engine.h"
 #include "core/predicates.h"
-#include "core/words.h"
+#include "evaluator_conformance.h"
+#include "per_process_flood_min.h"
 #include "sweep/submodel_parallel.h"
-#include "trace/trace.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace rrfd::core {
 namespace {
 
-struct NamedPredicate {
-  std::string name;
-  PredicatePtr pred;
-};
-
-/// Every zoo factory, parameterized so each is satisfiable at size n.
-/// Together these instantiate all twelve evaluator cores (the factories
-/// compose NeverFaulty and ImmortalProcess, which have no standalone
-/// factory of their own).
-std::vector<NamedPredicate> zoo(int n) {
-  const int f = n > 2 ? n / 2 : 1;
-  std::vector<NamedPredicate> out;
-  out.push_back({"sync_omission", sync_omission(f)});
-  out.push_back({"sync_crash", sync_crash(f)});
-  out.push_back({"async_message_passing", async_message_passing(f)});
-  out.push_back({"swmr_shared_memory", swmr_shared_memory(f)});
-  out.push_back({"swmr_shared_memory_alt", swmr_shared_memory_alt(f)});
-  out.push_back({"atomic_snapshot", atomic_snapshot(f)});
-  out.push_back({"detector_s", detector_s()});
-  out.push_back({"k_uncertainty", k_uncertainty(f)});
-  out.push_back({"equal_announcements", equal_announcements()});
-  out.push_back({"quorum_skew", quorum_skew(f + 1, f)});
-  return out;
-}
-
-/// A legal round as digits: each D(i,r) uniform over every set except S.
-std::vector<std::uint64_t> random_round_words(Rng& rng, int n) {
-  std::vector<std::uint64_t> d(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) d[static_cast<std::size_t>(i)] =
-      rng.below(full_mask(n));
-  return d;
-}
-
-RoundFaults materialize(const std::vector<std::uint64_t>& d, int n) {
-  RoundFaults round;
-  round.reserve(d.size());
-  for (std::uint64_t bits : d) round.push_back(ProcessSet::from_bits(n, bits));
-  return round;
-}
-
 TEST(DifferentialOracle, EvaluatorWordAndSetVerdictsMatchOnRandomWalks) {
-  // Three evaluators of the same predicate walk one seeded push/pop
-  // sequence: one fed sets, one words, one alternating per call. Any
-  // divergence pins the word core of that predicate. Terminal verdicts
-  // are retracted immediately, exactly as the DFS backtracks on them.
+  // Every word-core verdict against the set-algebra holds() on the pushed
+  // prefix. Any divergence pins the word core of that predicate.
   for (int n : {1, 2, 3, 5, 8, 16, 33, 63, 64}) {
     for (std::uint64_t seed : {1u, 77u, 4242u}) {
       for (const NamedPredicate& entry : zoo(n)) {
+        SCOPED_TRACE(entry.name);
         Rng rng(seed * 1000003u + static_cast<std::uint64_t>(n));
-        std::unique_ptr<StepEvaluator> set_eval = entry.pred->evaluator();
-        std::unique_ptr<StepEvaluator> word_eval = entry.pred->evaluator();
-        std::unique_ptr<StepEvaluator> mixed_eval = entry.pred->evaluator();
-        const Round horizon = 12;
-        set_eval->begin(n, horizon);
-        word_eval->begin(n, horizon);
-        mixed_eval->begin(n, horizon);
-        int depth = 0;
-        for (int step = 0; step < 64; ++step) {
-          if (depth > 0 && (depth >= horizon || rng.below(4) == 0)) {
-            set_eval->pop_round();
-            word_eval->pop_round();
-            mixed_eval->pop_round();
-            --depth;
-            continue;
-          }
-          const std::vector<std::uint64_t> d = random_round_words(rng, n);
-          const RoundFaults round = materialize(d, n);
-          const StepVerdict vs = set_eval->push_round(round);
-          const StepVerdict vw = word_eval->push_round_words(d.data(), n);
-          const StepVerdict vm = step % 2 == 0
-                                     ? mixed_eval->push_round_words(d.data(), n)
-                                     : mixed_eval->push_round(round);
-          ++depth;
-          EXPECT_EQ(static_cast<int>(vs), static_cast<int>(vw))
-              << entry.name << " n=" << n << " seed=" << seed
-              << " step=" << step;
-          EXPECT_EQ(static_cast<int>(vs), static_cast<int>(vm))
-              << entry.name << " (mixed) n=" << n << " seed=" << seed
-              << " step=" << step;
-          if (vs != StepVerdict::kSatisfiedSoFar) {
-            // Backtrack off the terminal verdict, as the search would.
-            set_eval->pop_round();
-            word_eval->pop_round();
-            mixed_eval->pop_round();
-            --depth;
-          }
-        }
+        check_random_walk(*entry.pred, n, rng, /*horizon=*/12, /*steps=*/64,
+                          /*retract_terminal=*/true);
       }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Custom predicates exercise the materializing push_round_words default:
-// a predicate that overrides only holds() gets the whole-pattern fallback
-// evaluator, whose word entry point must bridge to the set entry point
-// with identical three-valued verdicts.
+// Custom predicates: a predicate that overrides only holds() gets the
+// whole-pattern fallback evaluator, which rebuilds the prefix from the
+// pushed words and must report exact verdicts at every depth.
 // ---------------------------------------------------------------------------
 
 /// Not prefix-closed: the parity of total suspicions flips per miss, so a
@@ -173,148 +95,168 @@ class Pinned final : public Predicate {
 };
 
 TEST(DifferentialOracle, DefaultWordBridgeMatchesSetPathOnCustomPredicates) {
-  // Same three-evaluator seeded walk as the zoo sweep above, but over
-  // predicates that never wrote a word core -- the default bridge must
-  // materialize each round and reproduce push_round verdicts exactly,
-  // including verdict streams that recover after kViolatedForever.
-  std::vector<NamedPredicate> customs;
-  customs.push_back({"even_total_misses", std::make_shared<EvenTotalMisses>()});
-  customs.push_back({"pinned_zero", std::make_shared<Pinned>()});
+  // Same seeded walk over predicates that never wrote a word core. The
+  // fallback evaluator stays exact even past violations, so the walk
+  // keeps descending below them, as the DFS does under non-prunable
+  // predicates, including verdict streams that recover.
   for (int n : {1, 2, 3, 5, 16, 63, 64}) {
     for (std::uint64_t seed : {7u, 5151u}) {
-      for (const NamedPredicate& entry : customs) {
+      for (const PredicatePtr& pred :
+           {PredicatePtr(std::make_shared<EvenTotalMisses>()),
+            PredicatePtr(std::make_shared<Pinned>())}) {
         Rng rng(seed * 1000003u + static_cast<std::uint64_t>(n));
-        std::unique_ptr<StepEvaluator> set_eval = entry.pred->evaluator();
-        std::unique_ptr<StepEvaluator> word_eval = entry.pred->evaluator();
-        std::unique_ptr<StepEvaluator> mixed_eval = entry.pred->evaluator();
-        const Round horizon = 10;
-        set_eval->begin(n, horizon);
-        word_eval->begin(n, horizon);
-        mixed_eval->begin(n, horizon);
-        FaultPattern prefix(n);
-        for (int step = 0; step < 64; ++step) {
-          if (prefix.rounds() > 0 &&
-              (prefix.rounds() >= horizon || rng.below(4) == 0)) {
-            set_eval->pop_round();
-            word_eval->pop_round();
-            mixed_eval->pop_round();
-            prefix.pop_round();
-            continue;
-          }
-          const std::vector<std::uint64_t> d = random_round_words(rng, n);
-          const RoundFaults round = materialize(d, n);
-          const StepVerdict vs = set_eval->push_round(round);
-          const StepVerdict vw = word_eval->push_round_words(d.data(), n);
-          const StepVerdict vm =
-              step % 2 == 0 ? mixed_eval->push_round_words(d.data(), n)
-                            : mixed_eval->push_round(round);
-          prefix.append(round);
-          EXPECT_EQ(static_cast<int>(vs), static_cast<int>(vw))
-              << entry.name << " n=" << n << " seed=" << seed
-              << " step=" << step;
-          EXPECT_EQ(static_cast<int>(vs), static_cast<int>(vm))
-              << entry.name << " (mixed) n=" << n << " seed=" << seed
-              << " step=" << step;
-          // The fallback evaluator stays exact even past violations, so
-          // no backtrack-on-terminal here: non-prunable predicates must
-          // keep reporting correct verdicts below a violated prefix.
-          EXPECT_EQ(vs != StepVerdict::kViolatedForever,
-                    entry.pred->holds(prefix))
-              << entry.name << " n=" << n << " seed=" << seed;
-        }
+        check_random_walk(*pred, n, rng, /*horizon=*/10, /*steps=*/64,
+                          /*retract_terminal=*/false);
       }
     }
   }
 }
 
-void expect_same_search(const ImplicationResult& word,
-                        const ImplicationResult& set,
-                        const std::string& what) {
-  EXPECT_EQ(word.holds, set.holds) << what;
-  EXPECT_EQ(word.patterns_checked, set.patterns_checked) << what;
-  ASSERT_EQ(word.counterexample.has_value(), set.counterexample.has_value())
+void expect_same_search(const ImplicationResult& x,
+                        const ImplicationResult& y, const std::string& what) {
+  EXPECT_EQ(x.holds, y.holds) << what;
+  EXPECT_EQ(x.patterns_checked, y.patterns_checked) << what;
+  ASSERT_EQ(x.counterexample.has_value(), y.counterexample.has_value())
       << what;
-  if (word.counterexample.has_value()) {
-    EXPECT_EQ(*word.counterexample, *set.counterexample) << what;
+  if (x.counterexample.has_value()) {
+    EXPECT_EQ(*x.counterexample, *y.counterexample) << what;
   }
-  EXPECT_EQ(word.stats.nodes, set.stats.nodes) << what;
-  EXPECT_EQ(word.stats.leaves, set.stats.leaves) << what;
-  EXPECT_EQ(word.stats.pruned_subtrees, set.stats.pruned_subtrees) << what;
-  EXPECT_EQ(word.stats.patterns_decided, set.stats.patterns_decided) << what;
-  EXPECT_EQ(word.stats.expanded_roots, set.stats.expanded_roots) << what;
-  EXPECT_EQ(word.stats.total_roots, set.stats.total_roots) << what;
-  EXPECT_EQ(word.stats.symmetry_used, set.stats.symmetry_used) << what;
-  EXPECT_EQ(word.stats.shards, set.stats.shards) << what;
+  EXPECT_EQ(x.stats.nodes, y.stats.nodes) << what;
+  EXPECT_EQ(x.stats.leaves, y.stats.leaves) << what;
+  EXPECT_EQ(x.stats.pruned_subtrees, y.stats.pruned_subtrees) << what;
+  EXPECT_EQ(x.stats.patterns_decided, y.stats.patterns_decided) << what;
+  EXPECT_EQ(x.stats.expanded_roots, y.stats.expanded_roots) << what;
+  EXPECT_EQ(x.stats.total_roots, y.stats.total_roots) << what;
+  EXPECT_EQ(x.stats.symmetry_used, y.stats.symmetry_used) << what;
+  EXPECT_EQ(x.stats.shards, y.stats.shards) << what;
+}
+
+/// The naive oracle: one holds() verdict per pattern of the
+/// enumerate_patterns odometer, per predicate, in odometer order.
+std::vector<std::vector<char>> naive_verdicts(
+    const std::vector<NamedPredicate>& preds, int n, Round rounds) {
+  std::vector<std::vector<char>> sat(preds.size());
+  enumerate_patterns(n, rounds, [&](const FaultPattern& p) {
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+      sat[k].push_back(preds[k].pred->holds(p) ? 1 : 0);
+    }
+    return true;
+  });
+  return sat;
+}
+
+/// The DFS verdict on a => b must be the naive one; a holding implication
+/// must decide the whole space, and a refutation must carry a
+/// counterexample that holds() confirms.
+void expect_search_matches_naive(const NamedPredicate& a,
+                                 const std::vector<char>& sat_a,
+                                 const NamedPredicate& b,
+                                 const std::vector<char>& sat_b, int n,
+                                 Round rounds, const EnumOptions& options) {
+  const std::string what =
+      a.name + " => " + b.name +
+      (options.symmetry == Symmetry::kOff ? " (sym off)" : " (sym auto)");
+  bool naive = true;
+  for (std::size_t k = 0; k < sat_a.size(); ++k) {
+    naive = naive && (sat_a[k] == 0 || sat_b[k] != 0);
+  }
+  const ImplicationResult r =
+      implies_exhaustive(*a.pred, *b.pred, n, rounds, options);
+  EXPECT_EQ(r.holds, naive) << what;
+  if (r.holds) {
+    EXPECT_EQ(r.stats.patterns_decided,
+              static_cast<std::int64_t>(sat_a.size()))
+        << what;
+  } else {
+    ASSERT_TRUE(r.counterexample.has_value()) << what;
+    EXPECT_TRUE(a.pred->holds(*r.counterexample)) << what;
+    EXPECT_FALSE(b.pred->holds(*r.counterexample)) << what;
+  }
 }
 
 TEST(DifferentialOracle, SubmodelSearchMatchesAcrossPathsOnCustomPredicates) {
-  // The DFS drives custom predicates through the bridge on the word path
-  // (default traits: no pruning, no symmetry folding) -- searches must
-  // agree counter-for-counter with the set path.
-  const auto even = std::make_shared<EvenTotalMisses>();
-  const auto pinned = std::make_shared<Pinned>();
-  const auto never = std::make_shared<NeverFaulty>();
+  // Custom predicates run on the whole-pattern fallback (default traits:
+  // no pruning, no symmetry folding). The two paths to each verdict --
+  // the DFS and the naive sweep of all 7^6 patterns at n=3, rounds=2 --
+  // must agree, under both symmetry settings.
   const int n = 3;
   const Round rounds = 2;
-  const std::vector<std::pair<PredicatePtr, PredicatePtr>> pairs = {
-      {even, never},  {never, even},   {pinned, even},
-      {even, pinned}, {pinned, never}, {never, pinned}};
-  for (const auto& [a, b] : pairs) {
+  const std::vector<NamedPredicate> preds = {
+      {"even_total_misses", std::make_shared<EvenTotalMisses>()},
+      {"pinned_zero", std::make_shared<Pinned>()},
+      {"never_faulty", std::make_shared<NeverFaulty>()}};
+  const std::vector<std::vector<char>> sat = naive_verdicts(preds, n, rounds);
+  const std::vector<std::pair<std::size_t, std::size_t>> pairs = {
+      {0, 2}, {2, 0}, {1, 0}, {0, 1}, {1, 2}, {2, 1}};
+  for (Symmetry symmetry : {Symmetry::kAuto, Symmetry::kOff}) {
     EnumOptions options;
-    options.path = EnginePath::kWord;
-    const ImplicationResult word =
-        implies_exhaustive(*a, *b, n, rounds, options);
-    options.path = EnginePath::kSet;
-    const ImplicationResult set =
-        implies_exhaustive(*a, *b, n, rounds, options);
-    expect_same_search(word, set, a->name() + " => " + b->name());
-    // Refutations must be genuine on both paths.
-    if (!word.holds) {
-      ASSERT_TRUE(word.counterexample.has_value());
-      EXPECT_TRUE(a->holds(*word.counterexample));
-      EXPECT_FALSE(b->holds(*word.counterexample));
+    options.symmetry = symmetry;
+    for (const auto& [a, b] : pairs) {
+      expect_search_matches_naive(preds[a], sat[a], preds[b], sat[b], n,
+                                  rounds, options);
     }
   }
 }
 
 TEST(DifferentialOracle, SubmodelSearchMatchesAcrossPathsAndSymmetry) {
   // Every ordered zoo pair at n=3, rounds=2, under both symmetry
-  // settings: the word DFS must reproduce the set DFS node-for-node.
-  // Both outcomes (holds and refuted-with-counterexample) occur in this
-  // grid; neither direction is asserted, only path identity.
+  // settings: the DFS must reproduce the naive sweep's verdict. Both
+  // outcomes (holds and refuted-with-counterexample) occur in this grid;
+  // neither direction is asserted, only agreement with the sweep.
   const int n = 3;
   const Round rounds = 2;
   const std::vector<NamedPredicate> preds = zoo(n);
-  for (const NamedPredicate& a : preds) {
-    for (const NamedPredicate& b : preds) {
-      for (Symmetry symmetry : {Symmetry::kAuto, Symmetry::kOff}) {
-        EnumOptions options;
-        options.symmetry = symmetry;
-        options.path = EnginePath::kWord;
-        const ImplicationResult word =
-            implies_exhaustive(*a.pred, *b.pred, n, rounds, options);
-        options.path = EnginePath::kSet;
-        const ImplicationResult set =
-            implies_exhaustive(*a.pred, *b.pred, n, rounds, options);
-        expect_same_search(
-            word, set,
-            a.name + " => " + b.name +
-                (symmetry == Symmetry::kOff ? " (sym off)" : " (sym auto)"));
+  const std::vector<std::vector<char>> sat = naive_verdicts(preds, n, rounds);
+  for (Symmetry symmetry : {Symmetry::kAuto, Symmetry::kOff}) {
+    EnumOptions options;
+    options.symmetry = symmetry;
+    for (std::size_t a = 0; a < preds.size(); ++a) {
+      for (std::size_t b = 0; b < preds.size(); ++b) {
+        expect_search_matches_naive(preds[a], sat[a], preds[b], sat[b], n,
+                                    rounds, options);
       }
     }
   }
 }
 
+TEST(DifferentialOracle, EquivalenceCheckMatchesAcrossPaths) {
+  // The equivalence wrapper is the two implications, counter for counter,
+  // and its verdict is the naive one: identical holds() columns.
+  const int n = 3;
+  const Round rounds = 2;
+  const std::vector<NamedPredicate> preds = {
+      {"swmr_shared_memory", swmr_shared_memory(1)},
+      {"swmr_shared_memory_alt", swmr_shared_memory_alt(1)}};
+  const std::vector<std::vector<char>> sat = naive_verdicts(preds, n, rounds);
+  const Predicate& a = *preds[0].pred;
+  const Predicate& b = *preds[1].pred;
+  for (Symmetry symmetry : {Symmetry::kAuto, Symmetry::kOff}) {
+    EnumOptions options;
+    options.symmetry = symmetry;
+    const EquivalenceResult eq =
+        equivalent_exhaustive(a, b, n, rounds, options);
+    EXPECT_EQ(eq.equivalent(), sat[0] == sat[1]);
+    expect_same_search(eq.forward,
+                       implies_exhaustive(a, b, n, rounds, options),
+                       "swmr forward");
+    expect_same_search(eq.backward,
+                       implies_exhaustive(b, a, n, rounds, options),
+                       "swmr backward");
+    expect_search_matches_naive(preds[0], sat[0], preds[1], sat[1], n, rounds,
+                                options);
+    expect_search_matches_naive(preds[1], sat[1], preds[0], sat[0], n, rounds,
+                                options);
+  }
+}
+
 TEST(DifferentialOracle, SubmodelSearchMatchesUnderThreadedRunner) {
-  // The word path through the pool-backed shard runner (the TSan target):
-  // same answers as the serial set path, and as its own serial run.
+  // The pool-backed shard runner (the TSan target) must reproduce the
+  // serial search counter for counter.
   const int n = 3;
   const Round rounds = 2;
   EnumOptions threaded;
   threaded.runner = sweep::shard_runner(4);
-  threaded.path = EnginePath::kWord;
-  EnumOptions serial;
-  serial.path = EnginePath::kSet;
+  const EnumOptions serial;
   for (const auto& [a, b] : std::vector<std::pair<std::string, std::string>>{
            {"sync_crash", "sync_omission"},
            {"sync_omission", "sync_crash"},
@@ -329,25 +271,7 @@ TEST(DifferentialOracle, SubmodelSearchMatchesUnderThreadedRunner) {
     ASSERT_TRUE(pa && pb) << a << " => " << b;
     expect_same_search(implies_exhaustive(*pa, *pb, n, rounds, threaded),
                        implies_exhaustive(*pa, *pb, n, rounds, serial),
-                       a + " => " + b + " (threaded word vs serial set)");
-  }
-}
-
-TEST(DifferentialOracle, EquivalenceCheckMatchesAcrossPaths) {
-  const int n = 3;
-  const Round rounds = 2;
-  for (Symmetry symmetry : {Symmetry::kAuto, Symmetry::kOff}) {
-    EnumOptions options;
-    options.symmetry = symmetry;
-    options.path = EnginePath::kWord;
-    const EquivalenceResult word = equivalent_exhaustive(
-        *swmr_shared_memory(1), *swmr_shared_memory_alt(1), n, rounds, options);
-    options.path = EnginePath::kSet;
-    const EquivalenceResult set = equivalent_exhaustive(
-        *swmr_shared_memory(1), *swmr_shared_memory_alt(1), n, rounds, options);
-    EXPECT_EQ(word.equivalent(), set.equivalent());
-    expect_same_search(word.forward, set.forward, "swmr forward");
-    expect_same_search(word.backward, set.backward, "swmr backward");
+                       a + " => " + b + " (threaded vs serial)");
   }
 }
 
@@ -372,7 +296,8 @@ std::unique_ptr<Adversary> random_adversary(Rng& rng, int n,
 TEST(DifferentialOracle, EngineRunsMatchAcrossPathsOnRandomConfigs) {
   // Randomized engine configurations: everything observable -- the
   // RunResult (pattern, rounds, decisions, all_decided) and the full
-  // trace event stream -- must be identical on both paths.
+  // trace event stream -- must be identical whether FloodMin advances
+  // through its batch hook or through per-process absorb() calls.
   Rng rng(0xd1ffu);
   for (int trial = 0; trial < 60; ++trial) {
     const int n = 2 + static_cast<int>(rng.below(63));
@@ -384,42 +309,10 @@ TEST(DifferentialOracle, EngineRunsMatchAcrossPathsOnRandomConfigs) {
     const Round decide_round =
         1 + static_cast<Round>(rng.below(
                 static_cast<std::uint64_t>(options.max_rounds)));
-    auto make = [&] {
-      std::vector<agreement::FloodMin> ps;
-      ps.reserve(static_cast<std::size_t>(n));
-      for (ProcId i = 0; i < n; ++i) {
-        ps.emplace_back(static_cast<int>((i * 7 + trial) % n), decide_round);
-      }
-      return ps;
-    };
-
-    trace::CaptureRecorder word_trace;
-    std::vector<agreement::FloodMin> word_ps = make();
-    options.path = EnginePath::kWord;
-    RunResult<int> word = [&] {
-      trace::ScopedTrace scoped(&word_trace);
-      return run_rounds(word_ps, *adv, options);
-    }();
-
-    adv->reset();
-    trace::CaptureRecorder set_trace;
-    std::vector<agreement::FloodMin> set_ps = make();
-    options.path = EnginePath::kSet;
-    RunResult<int> set = [&] {
-      trace::ScopedTrace scoped(&set_trace);
-      return run_rounds(set_ps, *adv, options);
-    }();
-
-    EXPECT_EQ(word.pattern, set.pattern) << "trial " << trial;
-    EXPECT_EQ(word.rounds, set.rounds) << "trial " << trial;
-    EXPECT_EQ(word.all_decided, set.all_decided) << "trial " << trial;
-    EXPECT_EQ(word.decisions, set.decisions) << "trial " << trial;
-    ASSERT_EQ(word_trace.events().size(), set_trace.events().size())
-        << "trial " << trial << " adversary " << adv->name();
-    for (std::size_t k = 0; k < word_trace.events().size(); ++k) {
-      EXPECT_EQ(word_trace.events()[k], set_trace.events()[k])
-          << "trial " << trial << " event " << k;
-    }
+    std::vector<int> inputs;
+    for (ProcId i = 0; i < n; ++i) inputs.push_back((i * 7 + trial) % n);
+    SCOPED_TRACE(cat("trial ", trial));
+    expect_batch_matches_per_process(inputs, decide_round, *adv, options);
   }
 }
 

@@ -1,24 +1,30 @@
-// The engine's two round loops held against each other.
+// The engine's round loop held against independent oracles.
 //
-// EnginePath::kSet is the original per-ProcessSet loop; EnginePath::kWord
-// is the SoA word-arena rewrite (DESIGN.md "Word arenas"). The contract is
-// observational identity: same RunResult bytes (pattern, rounds, decisions),
-// same trace event stream, same adversary RNG consumption. This suite
-// replays seeded adversaries through both loops -- and additionally holds
-// the delivered views against the pre-DeliveryView inbox semantics (one
-// vector<optional<Message>> per recipient per round), recomputed here from
-// the recorded pattern as an independent oracle.
+// Three contracts, one oracle each:
+//  * a run's trace stream must reconstruct it: the replayer's pattern and
+//    round count equal the RunResult's, and re-running on the replayed
+//    announcements (or on the reset adversary) reproduces the RunResult
+//    and the event stream byte for byte;
+//  * FloodMin::absorb_round, the engine's only batch hook, must be
+//    observationally identical to n per-process absorb() calls: same
+//    RunResult bytes (pattern, rounds, decisions) and same trace event
+//    stream as PerProcessFloodMin, which hides the hook;
+//  * the DeliveryViews the engine hands out must match the
+//    pre-DeliveryView inbox semantics (one vector<optional<Message>> per
+//    recipient per round), recomputed here from the recorded pattern.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "agreement/flood_min.h"
 #include "core/adversaries.h"
+#include "per_process_flood_min.h"
+#include "trace/replay.h"
 #include "trace/trace.h"
 
 namespace rrfd::core {
@@ -75,47 +81,6 @@ std::vector<Recorder> recorders(int n, Round decide_after) {
   return ps;
 }
 
-template <typename Decision>
-void expect_same_result(const RunResult<Decision>& word,
-                        const RunResult<Decision>& set) {
-  EXPECT_EQ(word.pattern, set.pattern);
-  EXPECT_EQ(word.rounds, set.rounds);
-  EXPECT_EQ(word.all_decided, set.all_decided);
-  EXPECT_EQ(word.decisions, set.decisions);
-}
-
-/// Runs `make_adversary()` through both paths with fresh processes and a
-/// reset adversary, requiring byte-identical results and trace streams.
-template <typename P>
-void expect_paths_agree(std::function<std::vector<P>()> make_processes,
-                        Adversary& adversary, EngineOptions options) {
-  trace::CaptureRecorder word_trace;
-  std::optional<RunResult<typename P::Decision>> word;
-  std::vector<P> word_ps = make_processes();
-  {
-    trace::ScopedTrace scoped(&word_trace);
-    options.path = EnginePath::kWord;
-    word = run_rounds(word_ps, adversary, options);
-  }
-
-  adversary.reset();
-  trace::CaptureRecorder set_trace;
-  std::optional<RunResult<typename P::Decision>> set;
-  std::vector<P> set_ps = make_processes();
-  {
-    trace::ScopedTrace scoped(&set_trace);
-    options.path = EnginePath::kSet;
-    set = run_rounds(set_ps, adversary, options);
-  }
-
-  expect_same_result(*word, *set);
-  ASSERT_EQ(word_trace.events().size(), set_trace.events().size());
-  for (std::size_t k = 0; k < word_trace.events().size(); ++k) {
-    EXPECT_EQ(word_trace.events()[k], set_trace.events()[k]) << "event " << k;
-  }
-  adversary.reset();
-}
-
 std::vector<AdversaryPtr> zoo(int n, std::uint64_t seed) {
   const int f = n > 2 ? n / 2 : 1;
   std::vector<AdversaryPtr> out;
@@ -131,14 +96,54 @@ std::vector<AdversaryPtr> zoo(int n, std::uint64_t seed) {
   return out;
 }
 
+/// Runs n fresh Recorders against `adversary` under a capture sink.
+RunResult<std::uint64_t> traced_recorder_run(
+    int n, Adversary& adversary, const EngineOptions& options,
+    trace::CaptureRecorder& sink) {
+  std::vector<Recorder> ps = recorders(n, 6);
+  trace::ScopedTrace scoped(&sink);
+  return run_rounds(ps, adversary, options);
+}
+
 TEST(EngineEquivalence, RecorderAgreesAcrossAdversaryZoo) {
+  // The trace stream is the engine's second account of a run. For every
+  // adversary in the zoo it must agree with the RunResult, and a rerun
+  // driven by the replayed announcements -- or by the reset adversary --
+  // must reproduce both the RunResult and the stream exactly.
   for (int n : {2, 3, 5, 8, 17, 33, 64}) {
     for (std::uint64_t seed : {1u, 7u, 1234u}) {
       for (const AdversaryPtr& adv : zoo(n, seed)) {
+        SCOPED_TRACE(adv->name() + " n=" + std::to_string(n) +
+                     " seed=" + std::to_string(seed));
         EngineOptions options;
         options.max_rounds = 9;
-        expect_paths_agree<Recorder>([n] { return recorders(n, 6); }, *adv,
-                                     options);
+        trace::CaptureRecorder recorded_trace;
+        const auto recorded =
+            traced_recorder_run(n, *adv, options, recorded_trace);
+
+        trace::TraceReplayer replayer(
+            trace::Trace{trace::kTraceSchema, "", recorded_trace.events(), {}});
+        ASSERT_TRUE(replayer.recorded_rounds().has_value());
+        EXPECT_EQ(*replayer.recorded_rounds(), recorded.rounds);
+        EXPECT_EQ(replayer.recorded_pattern(), recorded.pattern);
+
+        trace::CaptureRecorder scripted_trace;
+        const AdversaryPtr scripted = replayer.scripted_adversary();
+        const auto replayed =
+            traced_recorder_run(n, *scripted, options, scripted_trace);
+        replayer.verify_matches(scripted_trace.events());
+
+        adv->reset();
+        trace::CaptureRecorder rerun_trace;
+        const auto rerun = traced_recorder_run(n, *adv, options, rerun_trace);
+        replayer.verify_matches(rerun_trace.events());
+
+        for (const RunResult<std::uint64_t>* other : {&replayed, &rerun}) {
+          EXPECT_EQ(other->pattern, recorded.pattern);
+          EXPECT_EQ(other->rounds, recorded.rounds);
+          EXPECT_EQ(other->all_decided, recorded.all_decided);
+          EXPECT_EQ(other->decisions, recorded.decisions);
+        }
       }
     }
   }
@@ -146,19 +151,15 @@ TEST(EngineEquivalence, RecorderAgreesAcrossAdversaryZoo) {
 
 TEST(EngineEquivalence, FloodMinBatchAbsorbAgreesAcrossAdversaryZoo) {
   for (int n : {2, 5, 16, 64}) {
+    // Duplicated and descending inputs exercise argmin ties.
+    std::vector<int> inputs;
+    for (ProcId i = 0; i < n; ++i) inputs.push_back((n - i) % (n / 2 + 1));
     for (std::uint64_t seed : {3u, 99u}) {
       for (const AdversaryPtr& adv : zoo(n, seed)) {
-        auto make = [n] {
-          std::vector<agreement::FloodMin> ps;
-          for (ProcId i = 0; i < n; ++i) {
-            // Duplicated and descending inputs exercise argmin ties.
-            ps.emplace_back(/*input=*/(n - i) % (n / 2 + 1), /*decide_round=*/4);
-          }
-          return ps;
-        };
         EngineOptions options;
         options.max_rounds = 8;
-        expect_paths_agree<agreement::FloodMin>(make, *adv, options);
+        expect_batch_matches_per_process(inputs, /*decide_round=*/4, *adv,
+                                         options);
       }
     }
   }
@@ -166,26 +167,19 @@ TEST(EngineEquivalence, FloodMinBatchAbsorbAgreesAcrossAdversaryZoo) {
 
 TEST(EngineEquivalence, FloodMinBatchAbsorbMatchesChainLowerBound) {
   // The Corollary 4.2 construction: k crash chains force k+1 decisions out
-  // of flood-min truncated at floor(f/k) rounds. The word path must
+  // of flood-min truncated at floor(f/k) rounds. The batch hook must
   // reproduce the violation decisions exactly.
   const int k = 2;
   const int f = 6;
   const int n = k * (f / k) + k + 1;
   ChainAdversary adv(n, f, k);
-  auto make = [&] {
-    std::vector<agreement::FloodMin> ps;
-    const std::vector<int> inputs = adv.violating_inputs();
-    for (ProcId i = 0; i < n; ++i) {
-      ps.emplace_back(inputs[static_cast<std::size_t>(i)], adv.rounds());
-    }
-    return ps;
-  };
   EngineOptions options;
   options.max_rounds = adv.rounds();
-  expect_paths_agree<agreement::FloodMin>(make, adv, options);
+  expect_batch_matches_per_process(adv.violating_inputs(), adv.rounds(), adv,
+                                   options);
 
-  adv.reset();
-  std::vector<agreement::FloodMin> ps = make();
+  std::vector<agreement::FloodMin> ps;
+  for (int v : adv.violating_inputs()) ps.emplace_back(v, adv.rounds());
   auto result = run_rounds(ps, adv, options);
   EXPECT_EQ(static_cast<int>(result.distinct_decisions().size()), k + 1);
 }
@@ -193,53 +187,60 @@ TEST(EngineEquivalence, FloodMinBatchAbsorbMatchesChainLowerBound) {
 TEST(EngineEquivalence, WordViewsMatchInboxSemantics) {
   // Pre-DeliveryView oracle: recompute each recipient's per-round inbox
   // (one optional<Message> per sender) from the recorded pattern and
-  // require the materialized views to match it exactly.
-  const int n = 11;
-  CrashAdversary adv(n, 5, /*seed=*/42);
-  std::vector<Recorder> ps = recorders(n, 4);
-  EngineOptions options;
-  options.max_rounds = 7;
-  auto result = run_rounds(ps, adv, options);
-
-  for (ProcId i = 0; i < n; ++i) {
-    const Recorder& p = ps[static_cast<std::size_t>(i)];
-    ASSERT_EQ(static_cast<Round>(p.inboxes.size()), result.rounds);
-    for (Round r = 1; r <= result.rounds; ++r) {
-      const ProcessSet& d = result.pattern.d(i, r);
-      EXPECT_EQ(p.fault_sets[static_cast<std::size_t>(r - 1)], d);
-      for (ProcId j = 0; j < n; ++j) {
-        std::optional<int> expected;
-        if (!d.contains(j)) expected = j;  // Recorder emits its id
-        EXPECT_EQ(p.inboxes[static_cast<std::size_t>(r - 1)]
-                           [static_cast<std::size_t>(j)],
-                  expected)
-            << "i=" << i << " j=" << j << " r=" << r;
+  // require the materialized views to match it exactly, for every
+  // adversary in the zoo.
+  for (int n : {2, 3, 5, 8, 17, 33, 64}) {
+    for (std::uint64_t seed : {1u, 7u, 1234u}) {
+      for (const AdversaryPtr& adv : zoo(n, seed)) {
+        std::vector<Recorder> ps = recorders(n, 6);
+        EngineOptions options;
+        options.max_rounds = 9;
+        const auto result = run_rounds(ps, *adv, options);
+        ASSERT_EQ(result.rounds, 6) << adv->name();
+        for (ProcId i = 0; i < n; ++i) {
+          const Recorder& p = ps[static_cast<std::size_t>(i)];
+          ASSERT_EQ(static_cast<Round>(p.inboxes.size()), result.rounds);
+          EXPECT_EQ(p.decision(),
+                    result.decisions[static_cast<std::size_t>(i)]);
+          for (Round r = 1; r <= result.rounds; ++r) {
+            const ProcessSet d = result.pattern.d(i, r);
+            EXPECT_EQ(p.fault_sets[static_cast<std::size_t>(r - 1)], d);
+            for (ProcId j = 0; j < n; ++j) {
+              std::optional<int> expected;
+              if (!d.contains(j)) expected = j;  // Recorder emits its id
+              EXPECT_EQ(p.inboxes[static_cast<std::size_t>(r - 1)]
+                                 [static_cast<std::size_t>(j)],
+                        expected)
+                  << adv->name() << " i=" << i << " j=" << j << " r=" << r;
+            }
+          }
+        }
       }
     }
   }
 }
 
 TEST(EngineEquivalence, WordPathRejectsFullAnnouncementWord) {
-  // D(i,r) = S is structurally forbidden; the word path must enforce the
-  // same contract FaultPattern::append enforces on the set path.
-  class FullAdversary final : public Adversary {
+  // D(i,r) = S is structurally forbidden, and so is a word naming a
+  // process outside S: FaultPattern::append enforces both on every round
+  // the engine records.
+  class WordAdversary final : public Adversary {
    public:
+    explicit WordAdversary(std::uint64_t word) : word_(word) {}
     int n() const override { return 3; }
-    std::string name() const override { return "full"; }
-    RoundFaults next_round() override {
-      return uniform_round(3, ProcessSet::all(3));
-    }
-    void next_round_words(std::uint64_t* out) override {
-      out[0] = out[1] = out[2] = 0x7;
+    std::string name() const override { return "fixed-word"; }
+    void next_round(std::uint64_t* out) override {
+      out[0] = out[1] = out[2] = word_;
     }
     void reset() override {}
+
+   private:
+    std::uint64_t word_;
   };
-  FullAdversary adv;
-  for (EnginePath path : {EnginePath::kWord, EnginePath::kSet}) {
+  for (std::uint64_t word : {std::uint64_t{0x7}, std::uint64_t{0x8}}) {
+    WordAdversary adv(word);
     std::vector<Recorder> ps = recorders(3, 1);
-    EngineOptions options;
-    options.path = path;
-    EXPECT_THROW(run_rounds(ps, adv, options), ContractViolation);
+    EXPECT_THROW(run_rounds(ps, adv), ContractViolation) << word;
   }
 }
 

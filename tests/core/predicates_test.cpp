@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/adversaries.h"
 #include "core/submodel.h"
+#include "evaluator_conformance.h"
 
 namespace rrfd::core {
 namespace {
@@ -420,64 +420,6 @@ std::vector<PredicatePtr> evaluator_zoo() {
   };
 }
 
-/// Exhaustive DFS over every pattern of `rounds` rounds, exercising the
-/// evaluator exactly the way the enumeration engine does (push/pop in
-/// LIFO order, including pushes after a violation) and checking at every
-/// prefix that
-///  * the verdict is kViolatedForever iff holds(prefix) is false,
-///  * below a kSatisfiedForever promise every prefix satisfies, and
-///  * below a violation of a prunable() predicate every prefix violates.
-void check_evaluator_conformance(const Predicate& pred, int n, Round rounds) {
-  const std::uint64_t max_mask = (std::uint64_t{1} << n) - 2;
-  auto eval = pred.evaluator();
-  eval->begin(n, rounds);
-  FaultPattern prefix(n);
-
-  std::function<void(Round, bool, bool)> rec = [&](Round depth,
-                                                   bool forever_above,
-                                                   bool violated_above) {
-    std::vector<std::uint64_t> digits(static_cast<std::size_t>(n), 0);
-    for (;;) {
-      RoundFaults round;
-      for (int i = 0; i < n; ++i) {
-        round.push_back(
-            ProcessSet::from_bits(n, digits[static_cast<std::size_t>(i)]));
-      }
-      const StepVerdict v = eval->push_round(round);
-      prefix.append(round);
-      const bool sat = pred.holds(prefix);
-      EXPECT_EQ(v != StepVerdict::kViolatedForever, sat)
-          << pred.name() << " at depth " << depth << "\n"
-          << prefix.to_string();
-      if (forever_above) {
-        EXPECT_TRUE(sat) << pred.name()
-                         << ": kSatisfiedForever promise broken\n"
-                         << prefix.to_string();
-      }
-      if (violated_above && pred.prunable()) {
-        EXPECT_FALSE(sat) << pred.name()
-                          << ": prunable violation recovered\n"
-                          << prefix.to_string();
-      }
-      if (depth < rounds) {
-        rec(depth + 1, forever_above || v == StepVerdict::kSatisfiedForever,
-            violated_above || v == StepVerdict::kViolatedForever);
-      }
-      prefix.pop_round();
-      eval->pop_round();
-
-      int i = 0;
-      while (i < n && digits[static_cast<std::size_t>(i)] == max_mask) {
-        digits[static_cast<std::size_t>(i)] = 0;
-        ++i;
-      }
-      if (i == n) return;
-      ++digits[static_cast<std::size_t>(i)];
-    }
-  };
-  rec(1, false, false);
-}
-
 TEST(StepEvaluators, ConformToHoldsOnEveryPrefixN2) {
   for (const auto& pred : evaluator_zoo()) {
     check_evaluator_conformance(*pred, 2, 3);  // 9 + 81 + 729 prefixes
@@ -604,19 +546,14 @@ TEST(AndPredicateTraits, EngineFindsViolationsBehindRepairedPrefixes) {
   auto mixed = all_of("bound-and-quiet",
                       {std::make_shared<PerRoundFaultBound>(1),
                        std::make_shared<LastRoundQuiet>()});
-  for (const EnginePath path : {EnginePath::kWord, EnginePath::kSet}) {
-    EnumOptions options;
-    options.path = path;
-    const ImplicationResult r =
-        implies_exhaustive(*mixed, *std::make_shared<NeverFaulty>(), 2, 2,
-                           options);
-    EXPECT_FALSE(r.holds);
-    ASSERT_TRUE(r.counterexample.has_value());
-    EXPECT_TRUE(mixed->holds(*r.counterexample));
-    EXPECT_FALSE(NeverFaulty().holds(*r.counterexample));
-    // The witness necessarily passes through a violated prefix.
-    EXPECT_FALSE(mixed->holds_all_prefixes(*r.counterexample));
-  }
+  const ImplicationResult r =
+      implies_exhaustive(*mixed, *std::make_shared<NeverFaulty>(), 2, 2);
+  EXPECT_FALSE(r.holds);
+  ASSERT_TRUE(r.counterexample.has_value());
+  EXPECT_TRUE(mixed->holds(*r.counterexample));
+  EXPECT_FALSE(NeverFaulty().holds(*r.counterexample));
+  // The witness necessarily passes through a violated prefix.
+  EXPECT_FALSE(mixed->holds_all_prefixes(*r.counterexample));
 }
 
 }  // namespace

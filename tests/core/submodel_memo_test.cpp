@@ -4,8 +4,8 @@
 // The memo contract is that transposition tables are *unobservable*
 // except through the memo_* counters: every other statistic, the holds
 // verdict, the counterexample, and the budget behaviour must be exactly
-// those of the unmemoized search, on both engine paths, under both
-// symmetry modes, at any thread count. These suites enforce that
+// those of the unmemoized search, under both symmetry modes, at any
+// thread count. These suites enforce that
 // differentially across the whole zoo and the compiled Heard-Of catalog,
 // and separately test the state_bytes canonicality contract the tables
 // rest on: equal keys must imply identical verdict behaviour under any
@@ -24,6 +24,7 @@
 
 #include "core/predicates.h"
 #include "core/words.h"
+#include "evaluator_conformance.h"
 #include "ho/catalog.h"
 #include "sweep/submodel_parallel.h"
 #include "util/check.h"
@@ -32,33 +33,9 @@
 namespace rrfd::core {
 namespace {
 
-struct NamedPredicate {
-  std::string name;
-  PredicatePtr pred;
-};
-
-/// Every zoo factory, parameterized to be satisfiable at size n.
-std::vector<NamedPredicate> zoo(int n) {
-  const int f = n > 2 ? n / 2 : 1;
-  std::vector<NamedPredicate> out;
-  out.push_back({"sync_omission", sync_omission(f)});
-  out.push_back({"sync_crash", sync_crash(f)});
-  out.push_back({"async_message_passing", async_message_passing(f)});
-  out.push_back({"swmr_shared_memory", swmr_shared_memory(f)});
-  out.push_back({"swmr_shared_memory_alt", swmr_shared_memory_alt(f)});
-  out.push_back({"atomic_snapshot", atomic_snapshot(f)});
-  out.push_back({"detector_s", detector_s()});
-  out.push_back({"k_uncertainty", k_uncertainty(f)});
-  out.push_back({"equal_announcements", equal_announcements()});
-  out.push_back({"quorum_skew", quorum_skew(f + 1, f)});
-  return out;
-}
-
-EnumOptions opts_with(Memo memo, EnginePath path, Symmetry sym,
-                      int threads = 0) {
+EnumOptions opts_with(Memo memo, Symmetry sym, int threads = 0) {
   EnumOptions o;
   o.memo = memo;
-  o.path = path;
   o.symmetry = sym;
   if (threads > 0) o.runner = sweep::shard_runner(threads);
   return o;
@@ -93,27 +70,23 @@ void expect_same(const ImplicationResult& ref, const ImplicationResult& got,
 
 TEST(SubmodelMemo, MatchesPlainDfsAcrossZooPairs) {
   // Every ordered pair from a zoo slice, n = 3, 2 rounds: memo-on must
-  // reproduce the memo-off run stat-for-stat on both engine paths and
-  // under both symmetry modes. The slice keeps the pair sweep fast but
-  // spans the distinct evaluator families (per-round cores, cumulative
-  // masks, conjunctions, the immortal/cumulative pair).
+  // reproduce the memo-off run stat-for-stat under both symmetry modes.
+  // The slice keeps the pair sweep fast but spans the distinct evaluator
+  // families (per-round cores, cumulative masks, conjunctions, the
+  // immortal/cumulative pair).
   const auto all = zoo(3);
   const std::vector<std::size_t> picks = {0, 2, 5, 6, 7};
   for (const std::size_t ia : picks) {
     for (const std::size_t ib : picks) {
-      for (const EnginePath path : {EnginePath::kWord, EnginePath::kSet}) {
-        for (const Symmetry sym : {Symmetry::kOff, Symmetry::kAuto}) {
-          const auto off = implies_exhaustive(
-              *all[ia].pred, *all[ib].pred, 3, 2,
-              opts_with(Memo::kOff, path, sym));
-          const auto on = implies_exhaustive(
-              *all[ia].pred, *all[ib].pred, 3, 2,
-              opts_with(Memo::kOn, path, sym));
-          expect_same(off, on, /*include_memo=*/false,
-                      all[ia].name + " => " + all[ib].name);
-          EXPECT_EQ(off.stats.memo_hits, 0);
-          EXPECT_EQ(off.stats.memo_entries, 0);
-        }
+      for (const Symmetry sym : {Symmetry::kOff, Symmetry::kAuto}) {
+        const auto off = implies_exhaustive(*all[ia].pred, *all[ib].pred, 3,
+                                            2, opts_with(Memo::kOff, sym));
+        const auto on = implies_exhaustive(*all[ia].pred, *all[ib].pred, 3,
+                                           2, opts_with(Memo::kAuto, sym));
+        expect_same(off, on, /*include_memo=*/false,
+                    all[ia].name + " => " + all[ib].name);
+        EXPECT_EQ(off.stats.memo_hits, 0);
+        EXPECT_EQ(off.stats.memo_entries, 0);
       }
     }
   }
@@ -128,11 +101,9 @@ TEST(SubmodelMemo, MatchesPlainDfsAtThreeRounds) {
     for (const auto& b : all) {
       for (const Symmetry sym : {Symmetry::kOff, Symmetry::kAuto}) {
         const auto off = implies_exhaustive(
-            *a.pred, *b.pred, 2, 3, opts_with(Memo::kOff, EnginePath::kWord,
-                                              sym));
+            *a.pred, *b.pred, 2, 3, opts_with(Memo::kOff, sym));
         const auto on = implies_exhaustive(
-            *a.pred, *b.pred, 2, 3, opts_with(Memo::kOn, EnginePath::kWord,
-                                              sym));
+            *a.pred, *b.pred, 2, 3, opts_with(Memo::kAuto, sym));
         expect_same(off, on, /*include_memo=*/false,
                     a.name + " => " + b.name + " r=3");
       }
@@ -148,19 +119,17 @@ TEST(SubmodelMemo, MatchesPlainDfsAcrossStandardCatalog) {
   ASSERT_FALSE(catalog.empty());
   const auto ref = detector_s();
   for (const auto& m : catalog) {
-    for (const EnginePath path : {EnginePath::kWord, EnginePath::kSet}) {
-      const auto off = implies_exhaustive(
-          *m.pred, *ref, 3, 2, opts_with(Memo::kOff, path, Symmetry::kAuto));
-      const auto on = implies_exhaustive(
-          *m.pred, *ref, 3, 2, opts_with(Memo::kOn, path, Symmetry::kAuto));
-      expect_same(off, on, /*include_memo=*/false, m.name + " => detector_s");
-      const auto off_b = implies_exhaustive(
-          *ref, *m.pred, 3, 2, opts_with(Memo::kOff, path, Symmetry::kAuto));
-      const auto on_b = implies_exhaustive(
-          *ref, *m.pred, 3, 2, opts_with(Memo::kOn, path, Symmetry::kAuto));
-      expect_same(off_b, on_b, /*include_memo=*/false,
-                  "detector_s => " + m.name);
-    }
+    const auto off = implies_exhaustive(
+        *m.pred, *ref, 3, 2, opts_with(Memo::kOff, Symmetry::kAuto));
+    const auto on = implies_exhaustive(
+        *m.pred, *ref, 3, 2, opts_with(Memo::kAuto, Symmetry::kAuto));
+    expect_same(off, on, /*include_memo=*/false, m.name + " => detector_s");
+    const auto off_b = implies_exhaustive(
+        *ref, *m.pred, 3, 2, opts_with(Memo::kOff, Symmetry::kAuto));
+    const auto on_b = implies_exhaustive(
+        *ref, *m.pred, 3, 2, opts_with(Memo::kAuto, Symmetry::kAuto));
+    expect_same(off_b, on_b, /*include_memo=*/false,
+                "detector_s => " + m.name);
   }
 }
 
@@ -187,10 +156,9 @@ TEST(SubmodelMemo, MatchesNaiveOdometer) {
           if (c.a->holds(p) && !c.b->holds(p)) ++violations;
           return true;
         });
-    for (const Memo memo : {Memo::kOff, Memo::kOn}) {
-      const auto r = implies_exhaustive(
-          *c.a, *c.b, c.n, c.rounds,
-          opts_with(memo, EnginePath::kWord, Symmetry::kOff));
+    for (const Memo memo : {Memo::kOff, Memo::kAuto}) {
+      const auto r = implies_exhaustive(*c.a, *c.b, c.n, c.rounds,
+                                        opts_with(memo, Symmetry::kOff));
       EXPECT_EQ(r.holds, violations == 0);
       if (r.holds) {
         EXPECT_EQ(r.stats.patterns_decided, space);
@@ -212,14 +180,13 @@ TEST(SubmodelMemo, ResultsIdenticalAtAnyThreadCount) {
   const ImmortalProcess immortal;
   const CumulativeFaultBound bound(2);
   const auto serial = implies_exhaustive(
-      immortal, bound, 3, 2,
-      opts_with(Memo::kOn, EnginePath::kWord, Symmetry::kAuto));
+      immortal, bound, 3, 2, opts_with(Memo::kAuto, Symmetry::kAuto));
   EXPECT_GT(serial.stats.memo_hits, 0);
   EXPECT_GT(serial.stats.memo_entries, 0);
   for (const int threads : {1, 2, 4, 8}) {
-    const auto sharded = implies_exhaustive(
-        immortal, bound, 3, 2,
-        opts_with(Memo::kOn, EnginePath::kWord, Symmetry::kAuto, threads));
+    const auto sharded =
+        implies_exhaustive(immortal, bound, 3, 2,
+                           opts_with(Memo::kAuto, Symmetry::kAuto, threads));
     expect_same(serial, sharded, /*include_memo=*/true,
                 "threads=" + std::to_string(threads));
   }
@@ -234,12 +201,10 @@ TEST(SubmodelMemo, CounterexampleIdenticalWithAndWithoutMemo) {
   const auto b = k_uncertainty(1);
   for (const Symmetry sym : {Symmetry::kOff, Symmetry::kAuto}) {
     for (const int threads : {0, 4}) {
-      const auto off = implies_exhaustive(
-          *a, *b, 3, 2, opts_with(Memo::kOff, EnginePath::kWord, sym,
-                                  threads));
-      const auto on = implies_exhaustive(
-          *a, *b, 3, 2, opts_with(Memo::kOn, EnginePath::kWord, sym,
-                                  threads));
+      const auto off = implies_exhaustive(*a, *b, 3, 2,
+                                          opts_with(Memo::kOff, sym, threads));
+      const auto on = implies_exhaustive(*a, *b, 3, 2,
+                                         opts_with(Memo::kAuto, sym, threads));
       ASSERT_FALSE(off.holds);
       expect_same(off, on, /*include_memo=*/false, "counterexample order");
     }
@@ -252,8 +217,8 @@ TEST(SubmodelMemo, BudgetExceededIdenticalWithAndWithoutMemo) {
   // vice versa) -- the ContractViolation must fire either way.
   const ImmortalProcess immortal;
   const CumulativeFaultBound bound(2);
-  for (const Memo memo : {Memo::kOff, Memo::kOn}) {
-    auto o = opts_with(memo, EnginePath::kWord, Symmetry::kOff);
+  for (const Memo memo : {Memo::kOff, Memo::kAuto}) {
+    auto o = opts_with(memo, Symmetry::kOff);
     o.node_budget = 50;
     EXPECT_THROW(implies_exhaustive(immortal, bound, 3, 2, o),
                  ContractViolation);
@@ -265,25 +230,15 @@ TEST(SubmodelMemo, CountersOffWhenDisabledOrUseless) {
   const CumulativeFaultBound bound(2);
   // kOff: tables never consulted.
   const auto off = implies_exhaustive(
-      immortal, bound, 3, 2,
-      opts_with(Memo::kOff, EnginePath::kWord, Symmetry::kAuto));
+      immortal, bound, 3, 2, opts_with(Memo::kOff, Symmetry::kAuto));
   EXPECT_EQ(off.stats.memo_hits, 0);
   EXPECT_EQ(off.stats.memo_misses, 0);
   EXPECT_EQ(off.stats.memo_entries, 0);
-  // One round: every inner node is a root; nothing to memoize even kOn.
+  // One round: every inner node is a root; nothing to memoize.
   const auto r1 = implies_exhaustive(
-      immortal, bound, 3, 1,
-      opts_with(Memo::kOn, EnginePath::kWord, Symmetry::kAuto));
+      immortal, bound, 3, 1, opts_with(Memo::kAuto, Symmetry::kAuto));
   EXPECT_EQ(r1.stats.memo_hits, 0);
   EXPECT_EQ(r1.stats.memo_entries, 0);
-  // kAuto == kOn wherever both are sound.
-  const auto on = implies_exhaustive(
-      immortal, bound, 3, 2,
-      opts_with(Memo::kOn, EnginePath::kWord, Symmetry::kAuto));
-  const auto aut = implies_exhaustive(
-      immortal, bound, 3, 2,
-      opts_with(Memo::kAuto, EnginePath::kWord, Symmetry::kAuto));
-  expect_same(on, aut, /*include_memo=*/true, "kAuto == kOn");
 }
 
 /// Overrides only holds(): gets the whole-pattern fallback evaluator,
@@ -304,17 +259,15 @@ class ParityPredicate final : public Predicate {
 };
 
 TEST(SubmodelMemo, KeylessEvaluatorsFallBackToPlainDfs) {
-  // A predicate on the whole-pattern fallback cannot be keyed; Memo::kOn
+  // A predicate on the whole-pattern fallback cannot be keyed; Memo::kAuto
   // must quietly run the plain DFS (zero memo counters), not misbehave.
   const ParityPredicate parity;
   EXPECT_FALSE(parity.evaluator()->state_key().has_value());
   const CumulativeFaultBound bound(1);
   const auto off = implies_exhaustive(
-      parity, bound, 2, 2, opts_with(Memo::kOff, EnginePath::kWord,
-                                     Symmetry::kOff));
+      parity, bound, 2, 2, opts_with(Memo::kOff, Symmetry::kOff));
   const auto on = implies_exhaustive(
-      parity, bound, 2, 2, opts_with(Memo::kOn, EnginePath::kWord,
-                                     Symmetry::kOff));
+      parity, bound, 2, 2, opts_with(Memo::kAuto, Symmetry::kOff));
   expect_same(off, on, /*include_memo=*/true, "keyless fallback");
   EXPECT_EQ(on.stats.memo_hits, 0);
   EXPECT_EQ(on.stats.memo_entries, 0);
@@ -383,7 +336,7 @@ TEST(SubmodelStateKey, EqualKeysImplyEqualSuffixBehaviour) {
       eval->begin(n, horizon);
       for (int d = 0; d < depth; ++d) {
         prefix.push_back(random_round_words(rng, n));
-        eval->push_round_words(prefix.back().data(), n);
+        eval->push_round(prefix.back().data());
       }
       const auto key = eval->state_key();
       ASSERT_TRUE(key.has_value()) << entry.name;
@@ -400,10 +353,10 @@ TEST(SubmodelStateKey, EqualKeysImplyEqualSuffixBehaviour) {
         e1->begin(n, horizon);
         e2->begin(n, horizon);
         for (const auto& round : prefixes[0]) {
-          e1->push_round_words(round.data(), n);
+          e1->push_round(round.data());
         }
         for (const auto& round : prefixes[j]) {
-          e2->push_round_words(round.data(), n);
+          e2->push_round(round.data());
         }
         // A common suffix walk, never popping below the prefixes.
         int suffix_depth = 0;
@@ -419,8 +372,8 @@ TEST(SubmodelStateKey, EqualKeysImplyEqualSuffixBehaviour) {
           }
           if (!can_push) break;
           const auto d = random_round_words(rng, n);
-          const StepVerdict v1 = e1->push_round_words(d.data(), n);
-          const StepVerdict v2 = e2->push_round_words(d.data(), n);
+          const StepVerdict v1 = e1->push_round(d.data());
+          const StepVerdict v2 = e2->push_round(d.data());
           ++suffix_depth;
           ASSERT_EQ(static_cast<int>(v1), static_cast<int>(v2))
               << entry.name << " step=" << step;

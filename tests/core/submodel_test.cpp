@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -266,23 +267,17 @@ TEST(ExhaustiveBudget, ThrowsWhenNodeBudgetExceeded) {
 
 TEST(WordBoundary, ExhaustiveSearchRejectsUnrepresentableSpacesCleanly) {
   // At n >= 63 the digit base 2^n - 1 itself overflows int64; the engine
-  // must refuse with a ContractViolation before any enumeration -- on
-  // both representations and through the equivalence wrapper. A missed
+  // must refuse with a ContractViolation before any enumeration --
+  // directly and through the equivalence wrapper. A missed
   // guard here would be a shift-by-63/64 on the way to a bogus space
   // count, so these throws are what UBSan holds clean.
   NeverFaulty nf;
   PerRoundFaultBound bound(1);
   for (const int n : {63, 64}) {
-    for (const EnginePath path : {EnginePath::kWord, EnginePath::kSet}) {
-      EnumOptions options;
-      options.path = path;
-      EXPECT_THROW(implies_exhaustive(nf, bound, n, 1, options),
-                   ContractViolation)
-          << "n=" << n;
-      EXPECT_THROW(equivalent_exhaustive(nf, bound, n, 1, options),
-                   ContractViolation)
-          << "n=" << n;
-    }
+    EXPECT_THROW(implies_exhaustive(nf, bound, n, 1), ContractViolation)
+        << "n=" << n;
+    EXPECT_THROW(equivalent_exhaustive(nf, bound, n, 1), ContractViolation)
+        << "n=" << n;
     EXPECT_THROW(
         enumerate_patterns(n, 1, [](const FaultPattern&) { return true; }),
         ContractViolation)
@@ -296,39 +291,33 @@ TEST(WordBoundary, ExhaustiveSearchRejectsUnrepresentableSpacesCleanly) {
       ContractViolation);
 }
 
-TEST(WordBoundary, MaskRoundsRoundTripsFullWordPatterns) {
+TEST(WordBoundary, FaultPatternRoundTripsFullWordPatterns) {
   // Bit 63 live everywhere: D(i,r) = S \ {i} is the largest legal mask at
-  // n = 64 (full_mask - one bit). from_fault_pattern and to_fault_pattern
-  // must be exact inverses on such patterns.
+  // n = 64. The word arena must hand back exactly the words it was given,
+  // whether a round is appended as words or as sets.
   const int n = 64;
   const std::uint64_t full = full_mask(n);
-  EXPECT_EQ(full, ~std::uint64_t{0});
-  FaultPattern p(n);
+  FaultPattern words(n);
+  FaultPattern sets(n);
+  std::vector<std::uint64_t> d(static_cast<std::size_t>(n));
   for (Round r = 1; r <= 3; ++r) {
-    RoundFaults round;
     for (int i = 0; i < n; ++i) {
-      const std::uint64_t bits =
+      d[static_cast<std::size_t>(i)] =
           r == 2 ? 0 : full & ~(std::uint64_t{1} << i);
-      round.push_back(ProcessSet::from_bits(n, bits));
     }
-    p.append(std::move(round));
+    words.append(d.data());
+    sets.append(words.round(r));
+    EXPECT_TRUE(std::equal(d.begin(), d.end(), sets.words(r)));
   }
-  MaskRounds m = MaskRounds::from_fault_pattern(p);
-  EXPECT_EQ(m.n(), n);
-  EXPECT_EQ(m.rounds(), 3);
-  EXPECT_EQ(m.round(1)[63], full & ~(std::uint64_t{1} << 63));
-  EXPECT_EQ(m.round_or(1), full);   // everyone suspected by someone
-  EXPECT_EQ(m.round_and(1), 0u);    // nobody suspected by all
-  EXPECT_EQ(m.round_or(2), 0u);
-  EXPECT_EQ(m.to_fault_pattern(), p);
-
-  // Push/pop keeps the word layout consistent at full width.
-  std::uint64_t* d = m.push_round();
-  for (int i = 0; i < n; ++i) d[i] = std::uint64_t{1} << 63;
-  EXPECT_EQ(m.rounds(), 4);
-  EXPECT_EQ(m.round_or(4), std::uint64_t{1} << 63);
-  m.pop_round();
-  EXPECT_EQ(m.to_fault_pattern(), p);
+  EXPECT_EQ(words, sets);
+  EXPECT_EQ(words.d(63, 1).bits(), full & ~(std::uint64_t{1} << 63));
+  EXPECT_EQ(words.round_union(1), ProcessSet::all(n));  // all suspected
+  EXPECT_TRUE(words.round_intersection(1).empty());  // nobody by all
+  EXPECT_TRUE(words.round_union(2).empty());
+  // A rejected round (here D = S) leaves the pattern untouched.
+  d[17] = full;
+  EXPECT_THROW(words.append(d.data()), ContractViolation);
+  EXPECT_EQ(words, sets);
 }
 
 TEST(WordBoundary, ZooEvaluatorsHandleFullWordRounds) {
@@ -344,19 +333,19 @@ TEST(WordBoundary, ZooEvaluatorsHandleFullWordRounds) {
     NoSelfSuspicion no_self;
     auto self_eval = no_self.evaluator();
     self_eval->begin(n, 2);
-    EXPECT_EQ(self_eval->push_round_words(words.data(), n),
+    EXPECT_EQ(self_eval->push_round(words.data()),
               StepVerdict::kSatisfiedSoFar)
         << "n=" << n;
     PerRoundFaultBound bound(1);
     auto bound_eval = bound.evaluator();
     bound_eval->begin(n, 2);
-    EXPECT_EQ(bound_eval->push_round_words(words.data(), n),
+    EXPECT_EQ(bound_eval->push_round(words.data()),
               StepVerdict::kViolatedForever)
         << "n=" << n;
     SomeoneHeardByAll heard;
     auto heard_eval = heard.evaluator();
     heard_eval->begin(n, 2);
-    EXPECT_EQ(heard_eval->push_round_words(words.data(), n),
+    EXPECT_EQ(heard_eval->push_round(words.data()),
               StepVerdict::kViolatedForever)  // union is all of S
         << "n=" << n;
   }

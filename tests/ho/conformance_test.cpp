@@ -1,15 +1,15 @@
-// Evaluator conformance for every compiler-derived predicate: exact
-// per-prefix verdicts against whole-pattern holds(), on the set path,
-// the word path, and a mixed walk -- plus honesty checks on the derived
-// traits (a dishonest prunable()/symmetric() would make the exhaustive
-// engine cut or fold subtrees unsoundly).
+// Evaluator conformance for every compiler-derived predicate: the
+// incremental word nodes give exact per-prefix verdicts against the
+// whole-pattern set-algebra interpreter holds() -- plus honesty checks on
+// the derived traits (a dishonest prunable()/symmetric() would make the
+// exhaustive engine cut or fold subtrees unsoundly).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "../core/evaluator_conformance.h"
 #include "core/fault_pattern.h"
 #include "core/predicate.h"
 #include "core/process_set.h"
@@ -29,13 +29,6 @@ using core::Round;
 using core::RoundFaults;
 using core::StepVerdict;
 using core::full_mask;
-
-/// How prefixes are fed to the evaluator under test.
-enum class PushPath {
-  kSet,    ///< push_round only
-  kWord,   ///< push_round_words only
-  kMixed,  ///< alternate per depth -- the contract says they interleave
-};
 
 /// Specs under conformance: the standard catalog plus compositions that
 /// stress every combinator corner (closed/nested/out-of-range windows,
@@ -69,67 +62,6 @@ std::vector<std::string> conformance_specs() {
   return specs;
 }
 
-/// Exhaustive DFS over every pattern of (n, rounds): after each push the
-/// verdict must match holds() on the prefix-as-complete-pattern, a
-/// kSatisfiedForever promise must hold below, and -- when the predicate
-/// declares prunable() -- a violation must never recover below.
-void check_conformance(const core::Predicate& pred, int n, Round rounds,
-                       PushPath path) {
-  const std::uint64_t max_mask = full_mask(n) - 1;  // D != S
-  auto eval = pred.evaluator();
-  eval->begin(n, rounds);
-  FaultPattern prefix(n);
-
-  std::function<void(Round, bool, bool)> rec = [&](Round depth,
-                                                   bool forever_above,
-                                                   bool violated_above) {
-    std::vector<std::uint64_t> digits(static_cast<std::size_t>(n), 0);
-    for (;;) {
-      RoundFaults round;
-      for (int i = 0; i < n; ++i) {
-        round.push_back(
-            ProcessSet::from_bits(n, digits[static_cast<std::size_t>(i)]));
-      }
-      const bool use_words =
-          path == PushPath::kWord ||
-          (path == PushPath::kMixed && depth % 2 == 0);
-      const StepVerdict v = use_words
-                                ? eval->push_round_words(digits.data(), n)
-                                : eval->push_round(round);
-      prefix.append(round);
-      const bool sat = pred.holds(prefix);
-      EXPECT_EQ(v != StepVerdict::kViolatedForever, sat)
-          << pred.name() << " at depth " << depth << "\n"
-          << prefix.to_string();
-      if (forever_above) {
-        EXPECT_TRUE(sat) << pred.name()
-                         << ": kSatisfiedForever promise broken\n"
-                         << prefix.to_string();
-      }
-      if (violated_above && pred.prunable()) {
-        EXPECT_FALSE(sat) << pred.name()
-                          << ": prunable violation recovered\n"
-                          << prefix.to_string();
-      }
-      if (depth < rounds) {
-        rec(depth + 1, forever_above || v == StepVerdict::kSatisfiedForever,
-            violated_above || v == StepVerdict::kViolatedForever);
-      }
-      prefix.pop_round();
-      eval->pop_round();
-
-      int i = 0;
-      while (i < n && digits[static_cast<std::size_t>(i)] == max_mask) {
-        digits[static_cast<std::size_t>(i)] = 0;
-        ++i;
-      }
-      if (i == n) return;
-      ++digits[static_cast<std::size_t>(i)];
-    }
-  };
-  rec(1, false, false);
-}
-
 /// True when the spec fits a system of n processes (partition masks may
 /// name ids that require a larger n).
 bool fits(const std::string& spec, int n) {
@@ -140,10 +72,7 @@ TEST(HoConformance, EveryDerivedPredicateConformsOnBothPathsN2) {
   for (const std::string& spec : conformance_specs()) {
     if (!fits(spec, 2)) continue;
     const auto pred = ho::compile_text(spec);
-    for (const PushPath path :
-         {PushPath::kSet, PushPath::kWord, PushPath::kMixed}) {
-      check_conformance(*pred, 2, 3, path);  // 9 + 81 + 729 prefixes
-    }
+    core::check_evaluator_conformance(*pred, 2, 3);  // 9 + 81 + 729 prefixes
   }
 }
 
@@ -151,8 +80,7 @@ TEST(HoConformance, EveryDerivedPredicateConformsOnBothPathsN3) {
   for (const std::string& spec : conformance_specs()) {
     if (!fits(spec, 3)) continue;
     const auto pred = ho::compile_text(spec);
-    check_conformance(*pred, 3, 2, PushPath::kSet);  // 343 + 117649
-    check_conformance(*pred, 3, 2, PushPath::kWord);
+    core::check_evaluator_conformance(*pred, 3, 2);  // 343 + 117649 prefixes
   }
 }
 
@@ -164,7 +92,7 @@ TEST(HoConformance, DeepWindowsConformOverLongPatterns) {
         std::string("window(3,0,link_budget(1))"),
         std::string("all(window(2,4,delay(1)),window(5,0,crash_only()))")}) {
     const auto pred = ho::compile_text(spec);
-    check_conformance(*pred, 2, 5, PushPath::kMixed);
+    core::check_evaluator_conformance(*pred, 2, 5);
   }
 }
 
@@ -238,43 +166,17 @@ TEST(HoConformance, PartitionIsHonestlyAsymmetric) {
 // --------------------------------------------------------------------------
 
 TEST(HoConformance, WordAndSetVerdictsMatchAtTheWordBoundary) {
+  // Seeded push/pop walks at n = 63 / 64: every word-node verdict must
+  // match the set-algebra holds() on the pushed prefix. At n = 64 bit 63
+  // is live in about half the draws.
   for (const std::string& spec : conformance_specs()) {
     if (ho::max_process_id(ho::parse_spec(spec)) >= 0) continue;
     const auto pred = ho::compile_text(spec);
     for (const int n : {63, 64}) {
       Rng rng(std::uint64_t{0x9e3779b97f4a7c15} ^
               static_cast<std::uint64_t>(n));
-      auto set_eval = pred->evaluator();
-      auto word_eval = pred->evaluator();
-      const Round horizon = 8;
-      set_eval->begin(n, horizon);
-      word_eval->begin(n, horizon);
-      FaultPattern prefix(n);
-      for (int step = 0; step < 48; ++step) {
-        if (prefix.rounds() == horizon ||
-            (prefix.rounds() > 0 && rng.below(4) == 0)) {
-          prefix.pop_round();
-          set_eval->pop_round();
-          word_eval->pop_round();
-          continue;
-        }
-        std::vector<std::uint64_t> words(static_cast<std::size_t>(n));
-        RoundFaults round;
-        for (int i = 0; i < n; ++i) {
-          // below(full_mask) yields D != S; at n = 64 bit 63 is live in
-          // about half the draws.
-          const std::uint64_t bits = rng.below(full_mask(n));
-          words[static_cast<std::size_t>(i)] = bits;
-          round.push_back(ProcessSet::from_bits(n, bits));
-        }
-        const StepVerdict vs = set_eval->push_round(round);
-        const StepVerdict vw = word_eval->push_round_words(words.data(), n);
-        prefix.append(std::move(round));
-        EXPECT_EQ(vs, vw) << spec << " diverged at n=" << n << " depth "
-                          << prefix.rounds();
-        EXPECT_EQ(vs != StepVerdict::kViolatedForever, pred->holds(prefix))
-            << spec << " verdict vs holds() at n=" << n;
-      }
+      core::check_random_walk(*pred, n, rng, /*horizon=*/8, /*steps=*/48,
+                              /*retract_terminal=*/false);
     }
   }
 }
@@ -291,21 +193,15 @@ TEST(HoConformance, FullWordMasksFlowThroughEvaluators) {
     words[static_cast<std::size_t>(i)] =
         full_mask(n) & ~(std::uint64_t{1} << i);
   }
-  EXPECT_EQ(eval->push_round_words(words.data(), n),
-            StepVerdict::kSatisfiedSoFar);
-  // Same round via the set path on a fresh evaluator.
-  RoundFaults round;
-  for (int i = 0; i < n; ++i) {
-    round.push_back(
-        ProcessSet::from_bits(n, words[static_cast<std::size_t>(i)]));
-  }
-  auto set_eval = pred->evaluator();
-  set_eval->begin(n, 2);
-  EXPECT_EQ(set_eval->push_round(round), StepVerdict::kSatisfiedSoFar);
+  EXPECT_EQ(eval->push_round(words.data()), StepVerdict::kSatisfiedSoFar);
+  FaultPattern p(n);
+  p.append(words.data());
+  EXPECT_TRUE(pred->holds(p));
   // Violations at the boundary: process 63 suspecting itself.
   words[63] = std::uint64_t{1} << 63;
-  EXPECT_EQ(eval->push_round_words(words.data(), n),
-            StepVerdict::kViolatedForever);
+  EXPECT_EQ(eval->push_round(words.data()), StepVerdict::kViolatedForever);
+  p.append(words.data());
+  EXPECT_FALSE(pred->holds(p));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "agreement/flood_min.h"
 #include "core/adversaries.h"
@@ -95,8 +97,7 @@ TEST(Replay, TruncatedTracedRunReplaysByteIdenticallyOnBothPaths) {
   // by the horizon before every process decides leaves processes
   // undecided mid-protocol; the recorded trace ends at the truncation
   // point and the replay must stop exactly there too -- same RunResult,
-  // byte-identical event stream -- on the word path, on the set path,
-  // and when the recording path differs from the replaying path.
+  // byte-identical event stream.
   const int n = 8;
   const Round horizon = 3;
   auto make_procs = [&] {
@@ -106,45 +107,37 @@ TEST(Replay, TruncatedTracedRunReplaysByteIdenticallyOnBothPaths) {
     return ps;
   };
 
-  for (core::EnginePath record_path :
-       {core::EnginePath::kWord, core::EnginePath::kSet}) {
-    core::EngineOptions options;
-    options.max_rounds = horizon;
-    options.path = record_path;
+  core::EngineOptions options;
+  options.max_rounds = horizon;
 
-    CaptureRecorder recording;
-    core::RunResult<int> recorded(n);
-    {
-      ScopedTrace attach(&recording);
-      auto procs = make_procs();
-      core::OmissionAdversary adversary(n, /*f=*/3, /*seed=*/7);
-      recorded = core::run_rounds(procs, adversary, options);
-    }
-    EXPECT_EQ(recorded.rounds, horizon);
-    EXPECT_FALSE(recorded.all_decided);
-
-    TraceReplayer replayer(through_jsonl(recording));
-    ASSERT_TRUE(replayer.recorded_rounds().has_value());
-    EXPECT_EQ(*replayer.recorded_rounds(), horizon);
-
-    for (core::EnginePath replay_path :
-         {core::EnginePath::kWord, core::EnginePath::kSet}) {
-      options.path = replay_path;
-      CaptureRecorder replaying;
-      core::RunResult<int> replayed(n);
-      {
-        ScopedTrace attach(&replaying);
-        auto procs = make_procs();
-        core::AdversaryPtr adversary = replayer.scripted_adversary();
-        replayed = core::run_rounds(procs, *adversary, options);
-      }
-      replayer.verify_matches(replaying.events());
-      EXPECT_EQ(replayed.pattern, recorded.pattern);
-      EXPECT_EQ(replayed.rounds, recorded.rounds);
-      EXPECT_EQ(replayed.all_decided, recorded.all_decided);
-      EXPECT_EQ(replayed.decisions, recorded.decisions);
-    }
+  CaptureRecorder recording;
+  core::RunResult<int> recorded(n);
+  {
+    ScopedTrace attach(&recording);
+    auto procs = make_procs();
+    core::OmissionAdversary adversary(n, /*f=*/3, /*seed=*/7);
+    recorded = core::run_rounds(procs, adversary, options);
   }
+  EXPECT_EQ(recorded.rounds, horizon);
+  EXPECT_FALSE(recorded.all_decided);
+
+  TraceReplayer replayer(through_jsonl(recording));
+  ASSERT_TRUE(replayer.recorded_rounds().has_value());
+  EXPECT_EQ(*replayer.recorded_rounds(), horizon);
+
+  CaptureRecorder replaying;
+  core::RunResult<int> replayed(n);
+  {
+    ScopedTrace attach(&replaying);
+    auto procs = make_procs();
+    core::AdversaryPtr adversary = replayer.scripted_adversary();
+    replayed = core::run_rounds(procs, *adversary, options);
+  }
+  replayer.verify_matches(replaying.events());
+  EXPECT_EQ(replayed.pattern, recorded.pattern);
+  EXPECT_EQ(replayed.rounds, recorded.rounds);
+  EXPECT_EQ(replayed.all_decided, recorded.all_decided);
+  EXPECT_EQ(replayed.decisions, recorded.decisions);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,6 +397,35 @@ TEST(Replay, VerifyMatchesNamesTheFirstDivergence) {
               std::string::npos);
   }
   EXPECT_NO_THROW(replayer.verify_matches({begin, emit}));
+}
+
+TEST(Replay, RejectsAnnounceRoundsBeyondTheEvidence) {
+  // One announce at r = 10^7 in an n = 64 run: a pattern sized from that
+  // round alone would take gigabytes, so the replayer must refuse, naming
+  // the bound, before it allocates any pattern storage. A repeated
+  // (round, process) announcement is refused too.
+  std::istringstream is(
+      "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n"
+      "{\"kind\":\"run_begin\",\"sub\":\"engine\",\"p\":64,\"r\":0,"
+      "\"a\":4,\"b\":1}\n"
+      "{\"kind\":\"announce\",\"sub\":\"engine\",\"p\":0,"
+      "\"r\":10000000,\"a\":0,\"b\":0}\n");
+  const Trace far = read_trace(is);
+  Trace repeated = far;
+  repeated.events.back().round = 1;
+  repeated.events.push_back(repeated.events.back());
+  for (const auto& [trace, reason] :
+       {std::pair<Trace, std::string>{far, "announces round 10000000"},
+        std::pair<Trace, std::string>{repeated, "repeats"}}) {
+    const TraceReplayer replayer(trace);
+    try {
+      replayer.recorded_pattern();
+      FAIL() << reason << ": must throw";
+    } catch (const ContractViolation& violation) {
+      EXPECT_NE(std::string(violation.what()).find(reason), std::string::npos)
+          << violation.what();
+    }
+  }
 }
 
 }  // namespace

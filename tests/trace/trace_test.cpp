@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "util/check.h"
 #include "util/log.h"
@@ -232,6 +234,58 @@ TEST(Jsonl, ParserErrorsNameTheLine) {
     FAIL() << "must throw";
   } catch (const ContractViolation& violation) {
     EXPECT_NE(std::string(violation.what()).find("line 2"), std::string::npos);
+  }
+}
+
+/// A trace whose second line carries `value` in `field` (p, r or level)
+/// and legal values everywhere else.
+std::string trace_with(const std::string& field, const std::string& value) {
+  const std::string event =
+      field == "level"
+          ? "{\"kind\":\"log\",\"level\":" + value + ",\"msg\":\"m\"}"
+          : "{\"kind\":\"round_start\",\"sub\":\"engine\",\"p\":" +
+                (field == "p" ? value : "-1") + ",\"r\":" +
+                (field == "r" ? value : "1") + ",\"a\":0,\"b\":0}";
+  return "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n" + event +
+         "\n";
+}
+
+TEST(Jsonl, ParserRejectsIntegersOutsideInt32NamingTheField) {
+  // p, r and level are stored as int32_t; narrowing 4294967297 to 1
+  // would accept a line that cannot round-trip.
+  for (const std::string field : {"p", "r", "level"}) {
+    for (const std::string value :
+         {"2147483648", "-2147483649", "4294967297", "99999999999999999999"}) {
+      std::istringstream is(trace_with(field, value));
+      try {
+        read_trace(is);
+        FAIL() << field << "=" << value << " must throw";
+      } catch (const ContractViolation& violation) {
+        EXPECT_NE(std::string(violation.what())
+                      .find("field '" + field + "' is outside int32_t"),
+                  std::string::npos)
+            << violation.what();
+      }
+    }
+  }
+}
+
+TEST(Jsonl, ParserAcceptsInt32BoundsAndRoundTripsThem) {
+  for (const std::string field : {"p", "r", "level"}) {
+    for (const std::string value : {"2147483647", "-2147483648"}) {
+      std::istringstream is(trace_with(field, value));
+      const Trace trace = read_trace(is);
+      const int parsed = field == "level" ? trace.logs.at(0).first
+                         : field == "p"   ? trace.events.at(0).proc
+                                          : trace.events.at(0).round;
+      EXPECT_EQ(parsed, std::stoll(value)) << field;
+      std::ostringstream os;
+      write_trace(os, trace);
+      std::istringstream again(os.str());
+      const Trace reread = read_trace(again);
+      EXPECT_EQ(reread.events, trace.events) << field << "=" << value;
+      EXPECT_EQ(reread.logs, trace.logs) << field << "=" << value;
+    }
   }
 }
 

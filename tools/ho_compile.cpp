@@ -10,13 +10,12 @@
 //    "placement":[{"vs":"async(1)","implies":true,"implied_by":true},...]}
 //
 // Usage:
-//   ho_compile [--n N] [--rounds R] [--threads T] [--path word|set]
-//              [--no-place] [--list] [SPEC ...]
+//   ho_compile [--n N] [--rounds R] [--threads T] [--no-place] [--list]
+//              [SPEC ...]
 //
 //   --n / --rounds   system size / pattern depth for placement (3 / 1)
 //   --threads        sweep executor workers (default: RRFD_SWEEP_THREADS
 //                    via the executor, serial shard order either way)
-//   --path           engine representation to enumerate with (word)
 //   --no-place       skip the exhaustive placement (parse + traits only)
 //   --list           print the standard catalog instead of reading specs
 //
@@ -43,7 +42,6 @@ struct Args {
   int n = 3;
   core::Round rounds = 1;
   int threads = 0;  // 0 = executor default (RRFD_SWEEP_THREADS)
-  core::EnginePath path = core::EnginePath::kWord;
   bool place = true;
   bool list = false;
   std::vector<std::string> specs;
@@ -51,8 +49,8 @@ struct Args {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--n N] [--rounds R] [--threads T] [--path word|set]\n"
-               "          [--no-place] [--list] [SPEC ...]\n"
+            << " [--n N] [--rounds R] [--threads T] [--no-place] [--list]\n"
+               "          [SPEC ...]\n"
                "Specs are read from stdin (one per line, '#' comments) when "
                "none are given.\n";
   return 1;
@@ -113,7 +111,6 @@ bool emit(const std::string& text, const std::string& name, const Args& args) {
             << ",\"symmetric\":" << (pred->symmetric() ? "true" : "false");
   if (args.place) {
     core::EnumOptions options;
-    options.path = args.path;
     options.runner = args.threads > 0 ? sweep::shard_runner(args.threads)
                                       : sweep::shard_runner();
     std::cout << ",\"n\":" << args.n << ",\"rounds\":" << args.rounds
@@ -153,17 +150,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr || !parse_int_arg(v, 1, &args.threads)) {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--path") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      const std::string path = v;
-      if (path == "word") {
-        args.path = core::EnginePath::kWord;
-      } else if (path == "set") {
-        args.path = core::EnginePath::kSet;
-      } else {
         return usage(argv[0]);
       }
     } else if (arg == "--no-place") {
