@@ -6,9 +6,10 @@
 //   $ ./flight_recorder replay <substrate> <trace.jsonl>
 //   $ ./flight_recorder demo
 //
-// Substrates: engine | msgpass | semisync (the three whose randomness is
-// fully externalized; the runtime substrate is replayed in tests via
-// ScriptedScheduler). `record` writes the trace file; `replay` re-executes
+// Substrates: engine | msgpass | semisync | runtime. The runtime substrate
+// records adopt-commit on the fiber runtime under a seeded RandomScheduler
+// with crashes, and replays the recorded choices through a
+// ScriptedScheduler. `record` writes the trace file; `replay` re-executes
 // from it and exits non-zero on any divergence, so
 //
 //   record x 7 a.jsonl && replay x a.jsonl
@@ -22,10 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "agreement/adopt_commit.h"
 #include "agreement/flood_min.h"
 #include "core/adversaries.h"
 #include "core/engine.h"
 #include "msgpass/round_sim.h"
+#include "runtime/schedulers.h"
+#include "runtime/sim.h"
 #include "semisync/network.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
@@ -144,6 +148,31 @@ void semisync_run(std::uint64_t seed, const trace::TraceReplayer* replayer) {
 }
 
 // --------------------------------------------------------------------------
+// runtime: adopt-commit on the fiber runtime with seeded crashes
+// --------------------------------------------------------------------------
+
+constexpr int kRuntimeN = 4;
+
+void runtime_run(std::uint64_t seed, const trace::TraceReplayer* replayer) {
+  agreement::AdoptCommit ac(kRuntimeN);
+  runtime::Simulation sim(kRuntimeN, [&ac](runtime::Context& ctx) {
+    ac.run(ctx, /*proposal=*/ctx.id() % 2);
+  });
+  if (replayer == nullptr) {
+    runtime::RandomScheduler sched(seed, /*crash_prob=*/0.05,
+                                   /*max_crashes=*/kRuntimeN - 1);
+    sim.run(sched);
+    return;
+  }
+  std::vector<runtime::Scheduler::Choice> script;
+  for (const auto& [proc, crash] : replayer->scheduler_choices()) {
+    script.push_back({proc, crash});
+  }
+  runtime::ScriptedScheduler sched(std::move(script));
+  sim.run(sched);
+}
+
+// --------------------------------------------------------------------------
 // Driver
 // --------------------------------------------------------------------------
 
@@ -155,9 +184,11 @@ void run_substrate(const std::string& substrate, std::uint64_t seed,
     replayer ? msgpass_replay(*replayer) : msgpass_record(seed);
   } else if (substrate == "semisync") {
     semisync_run(seed, replayer);
+  } else if (substrate == "runtime") {
+    runtime_run(seed, replayer);
   } else {
     throw std::runtime_error("unknown substrate: " + substrate +
-                             " (want engine|msgpass|semisync)");
+                             " (want engine|msgpass|semisync|runtime)");
   }
 }
 
@@ -242,12 +273,12 @@ int main(int argc, char** argv) {
       return run_plain(argv[2], std::strtoull(argv[3], nullptr, 10));
     }
     std::cerr << "usage: flight_recorder demo\n"
-              << "       flight_recorder record <engine|msgpass|semisync> "
-                 "<seed> <trace.jsonl>\n"
-              << "       flight_recorder replay <engine|msgpass|semisync> "
+              << "       flight_recorder record <substrate> <seed> "
                  "<trace.jsonl>\n"
-              << "       flight_recorder run <engine|msgpass|semisync> "
-                 "<seed>   (sink via RRFD_TRACE)\n";
+              << "       flight_recorder replay <substrate> <trace.jsonl>\n"
+              << "       flight_recorder run <substrate> <seed>   "
+                 "(sink via RRFD_TRACE)\n"
+              << "substrates: engine | msgpass | semisync | runtime\n";
     return 2;
   } catch (const std::exception& error) {
     std::cerr << "flight_recorder: " << error.what() << "\n";

@@ -1,5 +1,7 @@
 #include "agreement/phase_consensus.h"
 
+#include <memory>
+
 namespace rrfd::agreement {
 
 PhaseConsensusResult run_phase_consensus(const std::vector<int>& inputs,

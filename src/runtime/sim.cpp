@@ -1,5 +1,6 @@
 #include "runtime/sim.h"
 
+#include "runtime/fiber.h"
 #include "trace/trace.h"
 #include "util/check.h"
 
@@ -13,87 +14,55 @@ Simulation::Simulation(int n, Body body) {
   RRFD_REQUIRE(0 < n && n <= core::kMaxProcesses);
   RRFD_REQUIRE(body != nullptr);
   bodies_.assign(static_cast<std::size_t>(n), body);
-  states_.assign(static_cast<std::size_t>(n), State::kNotStarted);
   crash_flags_.assign(static_cast<std::size_t>(n), false);
-  finished_.assign(static_cast<std::size_t>(n), false);
 }
 
 Simulation::Simulation(std::vector<Body> bodies) : bodies_(std::move(bodies)) {
   RRFD_REQUIRE(!bodies_.empty() &&
                static_cast<int>(bodies_.size()) <= core::kMaxProcesses);
   for (const Body& b : bodies_) RRFD_REQUIRE(b != nullptr);
-  states_.assign(bodies_.size(), State::kNotStarted);
   crash_flags_.assign(bodies_.size(), false);
-  finished_.assign(bodies_.size(), false);
 }
 
 Simulation::~Simulation() {
-  // If run() was never called (or threw), make sure threads can exit: crash
-  // everything still pending and join.
-  if (started_) {
-    for (std::size_t i = 0; i < bodies_.size(); ++i) {
-      MutexLock lk(mu_);
-      if (finished_[i]) continue;
-      crash_flags_[i] = true;
-      turn_ = static_cast<ProcId>(i);
-      cv_.notify_all();
-      while (turn_ != -1) cv_.wait(mu_);
-    }
-  }
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
+  if (!fibers_) return;
+  for (ProcId p = 0; p < n(); ++p) {
+    if (!fibers_->finished(p)) crash(p);
   }
 }
 
-void Simulation::process_main(ProcId id) {
+void Simulation::process_main(ProcId id) noexcept {
   Context ctx(this, id);
   try {
-    // Initial wait: do not run any body code until first granted a step.
-    {
-      MutexLock lk(mu_);
-      states_[static_cast<std::size_t>(id)] = State::kBlocked;
-      while (turn_ != id) cv_.wait(mu_);
-      if (crash_flags_[static_cast<std::size_t>(id)]) throw Crashed{};
-      states_[static_cast<std::size_t>(id)] = State::kRunning;
-    }
     bodies_[static_cast<std::size_t>(id)](ctx);
   } catch (const Crashed&) {
     // Normal crash unwinding; nothing to record here (the scheduler knows).
   } catch (...) {
-    MutexLock lk(mu_);
     if (!first_error_) first_error_ = std::current_exception();
   }
-  MutexLock lk(mu_);
-  states_[static_cast<std::size_t>(id)] = State::kDone;
-  finished_[static_cast<std::size_t>(id)] = true;
-  turn_ = -1;
-  cv_.notify_all();
 }
 
 void Simulation::process_step(ProcId id) {
-  MutexLock lk(mu_);
-  // Yield the baton back to the scheduler...
-  states_[static_cast<std::size_t>(id)] = State::kBlocked;
-  turn_ = -1;
-  cv_.notify_all();
-  // ...and wait to be granted the next step.
-  while (turn_ != id) cv_.wait(mu_);
+  fibers_->yield(id);
   if (crash_flags_[static_cast<std::size_t>(id)]) throw Crashed{};
-  states_[static_cast<std::size_t>(id)] = State::kRunning;
 }
 
-void Simulation::grant(ProcId id) {
-  MutexLock lk(mu_);
-  turn_ = id;
-  cv_.notify_all();
-  while (turn_ != -1) cv_.wait(mu_);
+void Simulation::crash(ProcId id) {
+  crash_flags_[static_cast<std::size_t>(id)] = true;
+  // A process that never ran has no body code to unwind.
+  if (fibers_->started(id)) fibers_->resume(id);  // step() throws Crashed
 }
 
 SimOutcome Simulation::run(Scheduler& scheduler, int max_steps) {
-  RRFD_REQUIRE_MSG(!started_, "Simulation is single-use");
-  started_ = true;
-
+  RRFD_REQUIRE_MSG(!fibers_, "Simulation is single-use");
   const int count = n();
+  fibers_ = std::make_unique<detail::FiberSet>(
+      count,
+      [](void* sim, int id) noexcept {
+        static_cast<Simulation*>(sim)->process_main(id);
+      },
+      this);
+
   SimOutcome outcome(count);
 
   // Flight recorder: every scheduler choice and crash injection becomes a
@@ -106,19 +75,12 @@ SimOutcome Simulation::run(Scheduler& scheduler, int max_steps) {
                   static_cast<std::uint64_t>(max_steps));
   }
 
-  threads_.reserve(static_cast<std::size_t>(count));
-  for (ProcId i = 0; i < count; ++i) {
-    threads_.emplace_back([this, i] { process_main(i); });
-  }
-
   ProcessSet runnable = ProcessSet::all(count);
   while (!runnable.empty()) {
     if (outcome.steps >= max_steps) {
       // Budget-forced crashes are wind-down, not scheduler choices; they
       // are deliberately not traced so a replayed schedule stays faithful.
-      crash_all_remaining(runnable, outcome);
-      for (std::thread& t : threads_) t.join();
-      threads_.clear();
+      for (ProcId p : runnable.members()) crash(p);
       throw StepBudgetExhausted(max_steps);
     }
 
@@ -131,11 +93,7 @@ SimOutcome Simulation::run(Scheduler& scheduler, int max_steps) {
         trace::record(trace::EventKind::kCrash, kSub, choice.next,
                       outcome.steps);
       }
-      {
-        MutexLock lk(mu_);
-        crash_flags_[static_cast<std::size_t>(choice.next)] = true;
-      }
-      grant(choice.next);  // wakes it; its pending step() throws Crashed
+      crash(choice.next);
       outcome.crashed.add(choice.next);
       runnable.remove(choice.next);
       continue;
@@ -145,52 +103,21 @@ SimOutcome Simulation::run(Scheduler& scheduler, int max_steps) {
       trace::record(trace::EventKind::kSchedChoice, kSub, choice.next,
                     outcome.steps);
     }
-    grant(choice.next);
+    fibers_->resume(choice.next);
     outcome.schedule.push_back(choice.next);
     ++outcome.steps;
-
-    bool done;
-    {
-      MutexLock lk(mu_);
-      done = finished_[static_cast<std::size_t>(choice.next)];
-    }
-    if (done) {
-      if (!outcome.crashed.contains(choice.next)) {
-        outcome.completed.add(choice.next);
-      }
+    if (fibers_->finished(choice.next)) {
+      outcome.completed.add(choice.next);
       runnable.remove(choice.next);
     }
   }
 
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-
-  std::exception_ptr err;
-  {
-    // The joins above already order every process write before this read;
-    // taking the lock keeps the access inside the annotated discipline.
-    MutexLock lk(mu_);
-    err = first_error_;
-  }
-  if (err) std::rethrow_exception(err);
+  if (first_error_) std::rethrow_exception(first_error_);
   if (tracing) {
     trace::record(trace::EventKind::kRunEnd, kSub, -1, outcome.steps,
                   outcome.completed.bits(), outcome.crashed.bits());
   }
   return outcome;
-}
-
-void Simulation::crash_all_remaining(ProcessSet remaining,
-                                     SimOutcome& outcome) {
-  for (ProcId p : remaining.members()) {
-    {
-      MutexLock lk(mu_);
-      if (finished_[static_cast<std::size_t>(p)]) continue;
-      crash_flags_[static_cast<std::size_t>(p)] = true;
-    }
-    grant(p);
-    outcome.crashed.add(p);
-  }
 }
 
 }  // namespace rrfd::runtime

@@ -2,12 +2,14 @@
 //
 // The paper's shared-memory substrates (Sections 2 items 4-5, 4.2) are
 // asynchronous: correctness must hold for *every* interleaving of process
-// steps and every crash pattern. This runtime executes each simulated
-// process on its own OS thread but serializes them with a baton: exactly
-// one process runs at a time, and a Scheduler decides who steps next.
-// Every shared-memory operation calls Context::step(), which is the only
-// interleaving point -- so a run is fully determined by the schedule, and
-// schedules can be random (seeded), scripted, or enumerated exhaustively
+// steps and every crash pattern. This runtime runs each simulated process
+// as a fiber with its own stack, all on the thread that calls
+// Simulation::run(): exactly one process runs at a time, and a Scheduler
+// decides who steps next. Every shared-memory operation calls
+// Context::step(), which is the only interleaving point -- it switches back
+// to the scheduler until the process is granted its next step. So a run is
+// one sequence of choices, fully determined by the schedule, and schedules
+// can be random (seeded), scripted, or enumerated exhaustively
 // (runtime/explorer.h).
 //
 // Crashes are injected by the scheduler: a crashed process's next step()
@@ -17,15 +19,13 @@
 
 #include <exception>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/process_set.h"
 #include "core/types.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace rrfd::runtime {
 
@@ -47,6 +47,10 @@ class StepBudgetExhausted : public std::runtime_error {
 
 class Simulation;
 
+namespace detail {
+class FiberSet;  // runtime/fiber.h
+}  // namespace detail
+
 /// Handle a process body uses to interact with the runtime.
 class Context {
  public:
@@ -56,7 +60,7 @@ class Context {
   /// Number of processes in the simulation.
   int n() const;
 
-  /// Interleaving point: yields to the scheduler and blocks until granted
+  /// Interleaving point: yields to the scheduler and resumes when granted
   /// the next step. Every shared-memory operation calls this exactly once
   /// before touching memory. Throws Crashed if this process was crashed.
   void step();
@@ -94,6 +98,8 @@ struct SimOutcome {
 };
 
 /// Runs n process bodies under a scheduler. Single-use: construct, run once.
+/// run() and the destructor must be called on the same thread; the bodies
+/// run on that thread too, one fiber each (see DESIGN.md "Fiber runtime").
 class Simulation {
  public:
   using Body = std::function<void(Context&)>;
@@ -104,6 +110,8 @@ class Simulation {
   /// One body per process.
   explicit Simulation(std::vector<Body> bodies);
 
+  /// If run() was abandoned by an exception, crashes every process still
+  /// parked in step(), so each body unwinds and its destructors run.
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -119,29 +127,14 @@ class Simulation {
  private:
   friend class Context;
 
-  enum class State { kNotStarted, kBlocked, kRunning, kDone };
+  void process_main(ProcId id) noexcept;  // a fiber's whole life
+  void process_step(ProcId id);           // Context::step body
+  void crash(ProcId id);
 
-  void process_main(ProcId id);
-  void process_step(ProcId id);  // Context::step body
-  void grant(ProcId id);
-  void await_yield();
-  void crash_all_remaining(ProcessSet remaining, SimOutcome& outcome);
-
-  // rrfd-lint: allow(guarded-member) -- ctor-written, read-only afterwards
   std::vector<Body> bodies_;
-  // rrfd-lint: allow(guarded-member) -- scheduler-thread-only (single-use)
-  std::vector<std::thread> threads_;
-
-  rrfd::Mutex mu_;
-  rrfd::CondVar cv_;
-  ProcId turn_ RRFD_GUARDED_BY(mu_) = -1;  // -1: scheduler's turn
-  std::vector<State> states_ RRFD_GUARDED_BY(mu_);
-  std::vector<bool> crash_flags_ RRFD_GUARDED_BY(mu_);
-  /// done (completed or crashed)
-  std::vector<bool> finished_ RRFD_GUARDED_BY(mu_);
-  std::exception_ptr first_error_ RRFD_GUARDED_BY(mu_);
-  // rrfd-lint: allow(guarded-member) -- scheduler-thread-only (single-use)
-  bool started_ = false;
+  std::vector<bool> crash_flags_;
+  std::exception_ptr first_error_;
+  std::unique_ptr<detail::FiberSet> fibers_;  // created by run()
 };
 
 }  // namespace rrfd::runtime

@@ -156,6 +156,7 @@ JobResult execute(const Request& req, int sweep_threads) {
       case JobKind::kReplay: return run_replay(req);
     }
     RRFD_ENSURE_MSG(false, "unreachable job kind");
+    return {};
   } catch (const std::exception& e) {
     return failure("exec_error", e.what());
   }

@@ -398,6 +398,7 @@ std::string Request::canonical() const {
     }
   }
   RRFD_ENSURE_MSG(false, "unreachable job kind");
+  return {};
 }
 
 }  // namespace rrfd::serve

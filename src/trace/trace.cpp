@@ -332,6 +332,7 @@ EventKind kind_from_name(const std::string& name, const std::string& where) {
     if (name == kKindNames[k]) return static_cast<EventKind>(k);
   }
   RRFD_REQUIRE_MSG(false, where + ": unknown event kind '" + name + "'");
+  return {};
 }
 
 Substrate substrate_from_name(const std::string& name,
@@ -340,6 +341,7 @@ Substrate substrate_from_name(const std::string& name,
     if (name == kSubstrateNames[k]) return static_cast<Substrate>(k);
   }
   RRFD_REQUIRE_MSG(false, where + ": unknown substrate '" + name + "'");
+  return {};
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <stdexcept>
+#include <thread>
+
 #include "runtime/schedulers.h"
 
 namespace rrfd::runtime {
@@ -186,6 +191,161 @@ TEST(Simulation, SchedulerPickMustBeRunnable) {
   Simulation sim(2, [](Context& ctx) { ctx.step(); });
   AlwaysZero sched;
   EXPECT_THROW(sim.run(sched), ContractViolation);
+}
+
+TEST(Simulation, BodiesRunOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen;
+  Simulation sim(4, [&](Context& ctx) {
+    seen.push_back(std::this_thread::get_id());
+    for (int i = 0; i < 3; ++i) {
+      ctx.step();
+      seen.push_back(std::this_thread::get_id());
+    }
+  });
+  RandomScheduler sched(/*seed=*/5, /*crash_prob=*/0.1, /*max_crashes=*/1);
+  sim.run(sched);
+  EXPECT_GE(seen.size(), 4U);
+  for (const std::thread::id& id : seen) EXPECT_EQ(id, caller);
+}
+
+TEST(Simulation, RunsInsideAnotherSimulationsBody) {
+  // Each outer body hosts a whole inner run on its own fiber.
+  std::vector<int> inner_steps(3, 0);
+  Simulation outer(3, [&](Context& ctx) {
+    ctx.step();
+    Simulation inner(4, [](Context& c) {
+      for (int i = 0; i < 5; ++i) c.step();
+    });
+    RandomScheduler sched(static_cast<std::uint64_t>(ctx.id()) + 1);
+    inner_steps[static_cast<std::size_t>(ctx.id())] = inner.run(sched).steps;
+    ctx.step();
+  });
+  RandomScheduler sched(/*seed=*/9);
+  EXPECT_EQ(outer.run(sched).completed, ProcessSet::all(3));
+  EXPECT_EQ(inner_steps, (std::vector<int>{24, 24, 24}));
+}
+
+/// What the abandonment test observes of each body: whether it started,
+/// how many steps it got past, and how often its locals were destroyed.
+struct BodyLog {
+  explicit BodyLog(int n)
+      : started(static_cast<std::size_t>(n), false),
+        progress(static_cast<std::size_t>(n), 0),
+        unwound(static_cast<std::size_t>(n), 0) {}
+  std::vector<bool> started;
+  std::vector<int> progress;
+  std::vector<int> unwound;
+};
+
+struct UnwindProbe {
+  int& count;
+  ~UnwindProbe() { ++count; }
+};
+
+/// Body i takes steps[i] steps (forever if negative) and then returns;
+/// process `thrower` throws std::runtime_error after its second step.
+Simulation::Body logged_body(BodyLog& log, std::vector<int> steps,
+                             ProcId thrower = -1) {
+  return [&log, steps, thrower](Context& ctx) {
+    const auto i = static_cast<std::size_t>(ctx.id());
+    UnwindProbe probe{log.unwound[i]};
+    log.started[i] = true;
+    for (int s = 0; steps[i] < 0 || s < steps[i]; ++s) {
+      ctx.step();
+      ++log.progress[i];
+      if (ctx.id() == thrower && s == 1) throw std::runtime_error("bug");
+    }
+  };
+}
+
+TEST(Simulation, AbandonedRunUnwindsEveryStartedBody) {
+  // Replays a fixed pick sequence verbatim, even a process that finished.
+  struct Verbatim final : Scheduler {
+    explicit Verbatim(std::vector<ProcId> picks) : picks_(std::move(picks)) {}
+    Choice pick(const ProcessSet&, int step) override {
+      return {picks_.at(static_cast<std::size_t>(step)), false};
+    }
+    std::vector<ProcId> picks_;
+  };
+  const auto expect_unwound_once = [](const BodyLog& log,
+                                      const std::vector<int>& progress) {
+    for (std::size_t i = 0; i < log.started.size(); ++i) {
+      EXPECT_EQ(log.unwound[i], log.started[i] ? 1 : 0) << "process " << i;
+    }
+    // No body code ran after its crash point.
+    EXPECT_EQ(log.progress, progress);
+  };
+
+  {
+    // The scheduler picks process 0 after it finished: ContractViolation
+    // while 1 and 2 are parked mid-body and 3 never started.
+    BodyLog log(4);
+    std::vector<int> progress;
+    {
+      Simulation sim(4, logged_body(log, {1, -1, -1, -1}));
+      Verbatim sched({1, 2, 0, 1, 0, 0});
+      EXPECT_THROW(sim.run(sched), ContractViolation);
+      EXPECT_EQ(log.unwound, (std::vector<int>{1, 0, 0, 0}));
+      progress = log.progress;
+    }
+    EXPECT_EQ(progress, (std::vector<int>{1, 1, 0, 0}));
+    EXPECT_EQ(log.started, (std::vector<bool>{true, true, true, false}));
+    expect_unwound_once(log, progress);
+  }
+  {
+    // The step budget runs out while every body still loops.
+    BodyLog log(3);
+    std::vector<int> progress;
+    {
+      Simulation sim(3, logged_body(log, {-1, -1, -1}));
+      RoundRobinScheduler sched;
+      EXPECT_THROW(sim.run(sched, /*max_steps=*/10), StepBudgetExhausted);
+      progress = log.progress;
+    }
+    EXPECT_EQ(progress, (std::vector<int>{3, 2, 2}));
+    expect_unwound_once(log, progress);
+  }
+  {
+    // One body throws; the others run to completion, then run() rethrows.
+    BodyLog log(3);
+    std::vector<int> progress;
+    {
+      Simulation sim(3, logged_body(log, {4, 4, 4}, /*thrower=*/1));
+      RoundRobinScheduler sched;
+      EXPECT_THROW(sim.run(sched), std::runtime_error);
+      progress = log.progress;
+    }
+    EXPECT_EQ(progress, (std::vector<int>{4, 2, 4}));
+    expect_unwound_once(log, progress);
+  }
+}
+
+TEST(Simulation, SixtyFourProcessesKeepSeparateStacks) {
+  constexpr int kN = 64;
+  using Block = std::array<int, 32 * 1024 / sizeof(int)>;  // 32 KiB
+  std::vector<const Block*> live(kN, nullptr);
+  std::vector<bool> intact(kN, false);
+  std::vector<bool> alone(kN, false);
+  Simulation sim(kN, [&](Context& ctx) {
+    const auto i = static_cast<std::size_t>(ctx.id());
+    Block block{};
+    block.fill(ctx.id());
+    live[i] = &block;  // escapes, so the stores and loads stay real
+    for (int s = 0; s < 10; ++s) ctx.step();
+    intact[i] = std::all_of(block.begin(), block.end(),
+                            [&](int v) { return v == ctx.id(); });
+    alone[i] = std::count(live.begin(), live.end(), &block) == 1;
+    live[i] = nullptr;
+  });
+  RandomScheduler sched(/*seed=*/64);
+  SimOutcome out = sim.run(sched);
+  EXPECT_EQ(out.completed, ProcessSet::all(kN));
+  EXPECT_EQ(out.steps, kN * 11);
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_TRUE(intact[static_cast<std::size_t>(i)]) << "process " << i;
+    EXPECT_TRUE(alone[static_cast<std::size_t>(i)]) << "process " << i;
+  }
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ TEST(Replay, TruncatedTracedRunReplaysByteIdenticallyOnBothPaths) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime (thread-per-process cooperative simulation)
+// Runtime (fiber-per-process cooperative simulation)
 // ---------------------------------------------------------------------------
 
 TEST(Replay, RuntimeScheduleRoundTripsThroughScriptedScheduler) {
