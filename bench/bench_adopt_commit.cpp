@@ -63,6 +63,60 @@ SafetyStats random_sweep(int n, int trials) {
   return stats;
 }
 
+struct ExploreResult {
+  runtime::ScheduleExplorer::Stats stats;
+  long violations = 0;
+};
+
+/// E10b: every schedule of adopt-commit at n = 2 with distinct proposals
+/// and at most `crashes` crashes, explored by sweep::explore_sharded on
+/// `threads` workers, counting agreement violations.
+ExploreResult explore_e10b(int crashes, int threads) {
+  runtime::ScheduleExplorer::Options opts;
+  opts.max_schedules = 5000000;
+  opts.max_crashes = crashes;
+  // One schedule check; `violations` is nullptr for the probe run.
+  auto check_one = [](long* violations) {
+    return [violations](runtime::Scheduler& sched) {
+      agreement::AdoptCommit ac(2);
+      std::vector<std::optional<agreement::AdoptCommitResult>> results(2);
+      runtime::Simulation sim(2, [&](runtime::Context& ctx) {
+        results[static_cast<std::size_t>(ctx.id())] =
+            ac.run(ctx, ctx.id());  // distinct proposals 0, 1
+      });
+      sim.run(sched);
+      if (violations == nullptr) return;
+      std::optional<int> committed;
+      for (const auto& r : results) {
+        if (r && r->commit) {
+          if (committed && *committed != r->value) ++*violations;
+          committed = r->value;
+        }
+      }
+      if (committed) {
+        for (const auto& r : results) {
+          if (r && r->value != *committed) ++*violations;
+        }
+      }
+    };
+  };
+  // Sharded by root decision. Each shard counts into its own slot --
+  // summed in shard order below, so the total matches the serial
+  // explorer's exactly.
+  std::vector<long> per_shard(16, 0);
+  ExploreResult result;
+  result.stats = sweep::explore_sharded(
+      opts,
+      [&](int shard) {
+        return check_one(shard < 0
+                             ? nullptr
+                             : &per_shard[static_cast<std::size_t>(shard)]);
+      },
+      threads);
+  for (long v : per_shard) result.violations += v;
+  return result;
+}
+
 void summary() {
   bench::banner(
       "E10 / Section 4.2: the adopt-commit protocol",
@@ -87,50 +141,11 @@ void summary() {
     bench::Table table({"configuration", "schedules", "exhausted",
                         "violations"});
     for (int crashes : {0, 1}) {
-      runtime::ScheduleExplorer::Options opts;
-      opts.max_schedules = 5000000;
-      opts.max_crashes = crashes;
-      // One schedule check; `violations` is nullptr for the probe run.
-      auto check_one = [](long* violations) {
-        return [violations](runtime::Scheduler& sched) {
-          agreement::AdoptCommit ac(2);
-          std::vector<std::optional<agreement::AdoptCommitResult>> results(2);
-          runtime::Simulation sim(2, [&](runtime::Context& ctx) {
-            results[static_cast<std::size_t>(ctx.id())] =
-                ac.run(ctx, ctx.id());  // distinct proposals 0, 1
-          });
-          sim.run(sched);
-          if (violations == nullptr) return;
-          std::optional<int> committed;
-          for (const auto& r : results) {
-            if (r && r->commit) {
-              if (committed && *committed != r->value) ++*violations;
-              committed = r->value;
-            }
-          }
-          if (committed) {
-            for (const auto& r : results) {
-              if (r && r->value != *committed) ++*violations;
-            }
-          }
-        };
-      };
-      // Sharded by root decision; parallel under RRFD_SWEEP_THREADS. Each
-      // shard counts into its own slot -- summed in shard order below, so
-      // the total matches the serial explorer's exactly.
-      std::vector<long> per_shard(16, 0);
-      auto stats = sweep::explore_sharded(
-          opts, [&](int shard) {
-            return check_one(
-                shard < 0 ? nullptr
-                          : &per_shard[static_cast<std::size_t>(shard)]);
-          });
-      long violations = 0;
-      for (long v : per_shard) violations += v;
+      const ExploreResult r = explore_e10b(crashes, sweep::threads_from_env());
       table.add_row({"n=2, crashes<=" + std::to_string(crashes),
-                     std::to_string(stats.schedules),
-                     stats.exhausted ? "yes" : "no",
-                     std::to_string(violations)});
+                     std::to_string(r.stats.schedules),
+                     r.stats.exhausted ? "yes" : "no",
+                     std::to_string(r.violations)});
     }
     table.print();
   }
@@ -150,6 +165,26 @@ void bm_adopt_commit(benchmark::State& state) {
   state.counters["steps/proc"] = 2 * n + 2;
 }
 BENCHMARK(bm_adopt_commit)->Arg(2)->Arg(8)->Arg(32)->ArgName("n");
+
+/// E10b end to end, serial against 4 workers (RRFD_SWEEP_THREADS is
+/// ignored: the thread count is the argument). UseRealTime, since the
+/// calling thread mostly waits when the shards run on workers.
+void bm_explore_e10b(benchmark::State& state) {
+  const int crashes = static_cast<int>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
+  long schedules = 0;
+  for (auto _ : state) {
+    const ExploreResult r = explore_e10b(crashes, threads);
+    schedules = r.stats.schedules;
+    benchmark::DoNotOptimize(r.violations);
+  }
+  state.counters["schedules"] = static_cast<double>(schedules);
+}
+BENCHMARK(bm_explore_e10b)
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->ArgNames({"crashes", "threads"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

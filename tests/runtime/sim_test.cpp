@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cfenv>
 #include <stdexcept>
 #include <thread>
 
@@ -209,8 +210,9 @@ TEST(Simulation, BodiesRunOnTheCallingThread) {
   for (const std::thread::id& id : seen) EXPECT_EQ(id, caller);
 }
 
-TEST(Simulation, RunsInsideAnotherSimulationsBody) {
-  // Each outer body hosts a whole inner run on its own fiber.
+/// Runs 3 outer bodies, each of which hosts a whole inner run of 4 bodies
+/// on its own fiber, and checks both levels.
+void run_nested() {
   std::vector<int> inner_steps(3, 0);
   Simulation outer(3, [&](Context& ctx) {
     ctx.step();
@@ -224,6 +226,55 @@ TEST(Simulation, RunsInsideAnotherSimulationsBody) {
   RandomScheduler sched(/*seed=*/9);
   EXPECT_EQ(outer.run(sched).completed, ProcessSet::all(3));
   EXPECT_EQ(inner_steps, (std::vector<int>{24, 24, 24}));
+}
+
+TEST(Simulation, RunsInsideAnotherSimulationsBody) { run_nested(); }
+
+/// The rounding mode arithmetic actually applies, read off 1 + 0.75 ulp
+/// and -1 - 0.75 ulp. On x86-64 this is MXCSR, while fegetround() reads
+/// the x87 control word.
+int applied_rounding() {
+  volatile double tiny = 0x3p-54;  // 0.75 ulp of 1.0
+  const bool up_moves = 1.0 + tiny != 1.0;
+  const bool down_moves = -1.0 - tiny != -1.0;
+  if (up_moves) return down_moves ? FE_TONEAREST : FE_UPWARD;
+  return down_moves ? FE_DOWNWARD : FE_TOWARDZERO;
+}
+
+TEST(Simulation, FloatingPointControlModeIsPerFiber) {
+  // The rounding mode is callee-saved state: each fiber keeps the one it
+  // set across its steps, and the host never sees a fiber's.
+  struct HostCheck final : Scheduler {
+    explicit HostCheck(Scheduler& inner) : inner_(inner) {}
+    Choice pick(const ProcessSet& runnable, int step) override {
+      if (std::fegetround() != FE_TONEAREST) ++mismatches;
+      if (applied_rounding() != FE_TONEAREST) ++mismatches;
+      return inner_.pick(runnable, step);
+    }
+    Scheduler& inner_;
+    int mismatches = 0;
+  };
+  const std::array<int, 3> modes = {FE_UPWARD, FE_DOWNWARD, FE_TOWARDZERO};
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  int fiber_mismatches = 0;
+  Simulation sim(3, [&](Context& ctx) {
+    const int mode = modes[static_cast<std::size_t>(ctx.id())];
+    std::fesetround(mode);
+    for (int s = 0; s < 5; ++s) {
+      ctx.step();
+      if (std::fegetround() != mode) ++fiber_mismatches;
+      if (applied_rounding() != mode) ++fiber_mismatches;
+    }
+  });
+  RandomScheduler random(/*seed=*/3);
+  HostCheck sched(random);
+  const SimOutcome out = sim.run(sched);
+  const int host_rounding = std::fegetround();
+  std::fesetround(FE_TONEAREST);  // so a failure here spoils no other test
+  EXPECT_EQ(out.completed, ProcessSet::all(3));
+  EXPECT_EQ(sched.mismatches, 0);
+  EXPECT_EQ(fiber_mismatches, 0);
+  EXPECT_EQ(host_rounding, FE_TONEAREST);
 }
 
 /// What the abandonment test observes of each body: whether it started,
@@ -321,7 +372,11 @@ TEST(Simulation, AbandonedRunUnwindsEveryStartedBody) {
   }
 }
 
-TEST(Simulation, SixtyFourProcessesKeepSeparateStacks) {
+/// Runs 64 bodies that each fill a 32 KiB block on their stack and check
+/// it after 10 steps. Two fibers handed one stack show up as a corrupted
+/// block, or as two bodies whose blocks share an address.
+void check_separate_stacks(const char* when) {
+  SCOPED_TRACE(when);
   constexpr int kN = 64;
   using Block = std::array<int, 32 * 1024 / sizeof(int)>;  // 32 KiB
   std::vector<const Block*> live(kN, nullptr);
@@ -346,6 +401,21 @@ TEST(Simulation, SixtyFourProcessesKeepSeparateStacks) {
     EXPECT_TRUE(intact[static_cast<std::size_t>(i)]) << "process " << i;
     EXPECT_TRUE(alone[static_cast<std::size_t>(i)]) << "process " << i;
   }
+}
+
+TEST(Simulation, SixtyFourProcessesKeepSeparateStacks) {
+  // Stacks are cached per thread, so a new thread starts cold. The later
+  // checks take stacks that earlier runs gave back: a stack given back
+  // twice would be handed to two fibers at once.
+  std::thread([] {
+    check_separate_stacks("cold");
+    Simulation small(2, [](Context& ctx) { ctx.step(); });
+    RoundRobinScheduler sched;
+    EXPECT_EQ(small.run(sched).completed, ProcessSet::all(2));
+    check_separate_stacks("warm, after an n = 2 run");
+    run_nested();
+    check_separate_stacks("warm, after a nested run");
+  }).join();
 }
 
 }  // namespace
