@@ -184,7 +184,12 @@ class Predicate {
   /// (simultaneously permuting observer indices and set members). Enables
   /// process-permutation symmetry reduction in the exhaustive engine. All
   /// zoo predicates are symmetric; the default is false because a custom
-  /// predicate may single out specific identifiers.
+  /// predicate may single out specific identifiers. The claim covers the
+  /// evaluator too: a renamed prefix gets the same three-valued verdict as
+  /// the original, kSatisfiedForever included (kViolatedForever already
+  /// follows from holds()). The engine explores one memo seed subtree per
+  /// renaming class on that promise, and throws a ContractViolation when
+  /// a renamed first round gets a different verdict.
   virtual bool symmetric() const { return false; }
 };
 

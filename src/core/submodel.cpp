@@ -1,14 +1,18 @@
 #include "core/submodel.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/canonical_roots.h"
 #include "util/check.h"
 
 namespace rrfd::core {
@@ -95,12 +99,35 @@ class PatternOdometer {
 // Process-permutation symmetry
 // ---------------------------------------------------------------------------
 
-/// One renaming pi, tabulated for O(1) application to a D-set mask and to
-/// an observer index.
-struct PermTable {
-  std::vector<int> inverse;             ///< inverse[j] = pi^-1(j)
-  std::vector<std::uint64_t> mask_map;  ///< mask_map[m] = pi(m)
-};
+using detail::CanonicalRoot;
+using detail::CanonicalRoots;
+using detail::PermTable;
+
+/// Shards per search: fixed by the root count, never by the thread count.
+int shard_count(std::int64_t total_roots) {
+  return static_cast<int>(std::min<std::int64_t>(total_roots, 256));
+}
+
+/// Writes the odometer digits of first-round index k -- the D(i,1) words,
+/// process 0's digit varying fastest -- to d[0 .. n).
+void decode_root(std::int64_t k, int n, std::int64_t v, std::uint64_t* d) {
+  for (int i = 0; i < n; ++i) {
+    // Divide before the store: a store in between keeps the compiler
+    // from fusing % and / into one division.
+    const std::int64_t digit = k % v;
+    k /= v;
+    d[i] = static_cast<std::uint64_t>(digit);
+  }
+}
+
+/// The D(j,1) words of first round d renamed by p: D'(pi(i)) = pi(D(i)).
+void rename_round(const PermTable& p, const std::uint64_t* d, int n,
+                  std::uint64_t* out) {
+  for (int j = 0; j < n; ++j) {
+    out[j] = p.mask_map[static_cast<std::size_t>(
+        d[p.inverse[static_cast<std::size_t>(j)]])];
+  }
+}
 
 std::vector<PermTable> build_perm_tables(int n) {
   std::vector<int> perm(static_cast<std::size_t>(n));
@@ -127,6 +154,56 @@ std::vector<PermTable> build_perm_tables(int n) {
     tables.push_back(std::move(t));
   } while (std::next_permutation(perm.begin(), perm.end()));
   return tables;
+}
+
+/// Orbit size of first round d if it is canonical (lexicographically
+/// minimal among its renamings), else 0.
+std::int64_t orbit_if_canonical(const std::vector<PermTable>& perms,
+                                const std::uint64_t* d, int n) {
+  std::array<std::uint64_t, detail::kMaxSymmetryProcesses> image{};
+  std::int64_t stabilizer = 0;
+  for (const PermTable& p : perms) {
+    rename_round(p, d, n, image.data());
+    const auto cmp = std::lexicographical_compare_three_way(
+        image.begin(), image.begin() + n, d, d + n);
+    if (cmp < 0) return 0;  // a strictly smaller renaming exists
+    if (cmp == 0) ++stabilizer;
+  }
+  return static_cast<std::int64_t>(perms.size()) / stabilizer;
+}
+
+CanonicalRoots build_canonical_roots(int n) {
+  CanonicalRoots t;
+  t.perms = build_perm_tables(n);
+  const std::int64_t v = (std::int64_t{1} << n) - 1;
+  const std::int64_t total = *checked_space(n, n);
+  std::array<std::uint64_t, detail::kMaxSymmetryProcesses> d{};
+  for (std::int64_t k = 0; k < total; ++k) {
+    decode_root(k, n, v, d.data());
+    const std::int64_t orbit = orbit_if_canonical(t.perms, d.data(), n);
+    if (orbit == 0) continue;
+    CanonicalRoot root{k, orbit, {}};
+    for (int i = 0; i < n; ++i) {
+      root.digits[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(d[static_cast<std::size_t>(i)]);
+    }
+    t.ascending.push_back(root);
+  }
+  // Group by shard; the stable sort keeps each group ascending.
+  const int shards = shard_count(total);
+  const auto shard_of = [shards](const CanonicalRoot& r) {
+    return static_cast<std::size_t>(r.index % shards);
+  };
+  t.by_shard = t.ascending;
+  std::stable_sort(t.by_shard.begin(), t.by_shard.end(),
+                   [&](const CanonicalRoot& x, const CanonicalRoot& y) {
+                     return shard_of(x) < shard_of(y);
+                   });
+  t.shard_begin.assign(static_cast<std::size_t>(shards) + 1, 0);
+  for (const CanonicalRoot& r : t.ascending) ++t.shard_begin[shard_of(r) + 1];
+  std::partial_sum(t.shard_begin.begin(), t.shard_begin.end(),
+                   t.shard_begin.begin());
+  return t;
 }
 
 // ---------------------------------------------------------------------------
@@ -171,6 +248,34 @@ constexpr std::int64_t kMaxSeedEntries = 4096;
 /// negligible fraction of the total work.
 constexpr std::int64_t kMaxSeedRoots = std::int64_t{1} << 20;
 
+/// Writes the joint state of an A and a B evaluator into `key`. An
+/// evaluator retired by a kSatisfiedForever promise is absorbing -- it
+/// sees no pushes below that depth -- so a tag byte replaces whatever
+/// state it froze at. A's part is length-prefixed so the concatenation
+/// with B's stays unambiguous; B's runs to the end of the buffer. Rounds
+/// remaining is *not* part of the key: tables are indexed by it instead.
+/// False when an evaluator is keyless.
+bool compose_key(const StepEvaluator& a, bool a_retired,
+                 const StepEvaluator& b, bool b_retired,
+                 std::vector<std::uint8_t>& key) {
+  key.clear();
+  if (a_retired) {
+    statekey::append_u8(key, 0xFF);
+  } else {
+    statekey::append_u8(key, 0x01);
+    const std::size_t pos = statekey::begin_length_prefix(key);
+    if (!a.state_bytes(key)) return false;
+    statekey::end_length_prefix(key, pos);
+  }
+  if (b_retired) {
+    statekey::append_u8(key, 0xFF);
+  } else {
+    statekey::append_u8(key, 0x01);
+    if (!b.state_bytes(key)) return false;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Pruned, sharded DFS
 // ---------------------------------------------------------------------------
@@ -184,12 +289,13 @@ struct SearchSpec {
   std::int64_t v;  ///< digit base 2^n - 1
   bool prune_a;    ///< cut subtrees on A kViolatedForever
   bool prune_b;    ///< cut subtrees on B kSatisfiedForever
-  bool use_symmetry;
   std::int64_t node_budget;
   /// leaves_below[d] = v^(n * (rounds - d)): complete patterns under one
   /// depth-d node.
   std::vector<std::int64_t> leaves_below;
-  std::vector<PermTable> perms;  ///< empty unless use_symmetry
+  /// Canonical first rounds at n when symmetry reduction is on, else
+  /// null: then every first round is expanded with orbit 1.
+  const CanonicalRoots* roots = nullptr;
   /// Suffix-count memoization requested (Memo::kAuto with rounds >= 2).
   /// Each worker still probes evaluator keyability and quietly runs the
   /// plain DFS when either evaluator is keyless.
@@ -225,32 +331,24 @@ class ShardWorker {
     }
   }
 
-  /// Visits roots first, first + stride, first + 2 * stride, ... --
-  /// strided rather than contiguous, because canonical first rounds are
-  /// lexicographically minimal and therefore cluster at low indices; a
-  /// contiguous split would hand nearly all expansion work to the first
-  /// few shards.
-  void run(std::int64_t first, std::int64_t stride, std::int64_t total) {
+  /// Expands shard `shard` of `n_shards`: the first rounds whose index
+  /// is shard modulo n_shards, in ascending index (only the canonical
+  /// ones under symmetry). Strided rather than contiguous, because
+  /// canonical first rounds are lexicographically minimal and therefore
+  /// cluster at low indices; a contiguous split would hand nearly all
+  /// expansion work to the first few shards.
+  void run(int shard, int n_shards, std::int64_t total) {
     a_eval_->begin(spec_.n, spec_.rounds);
     b_eval_->begin(spec_.n, spec_.rounds);
     init_memo();
-    for (std::int64_t k = first; k < total; k += stride) {
-      std::int64_t rem = k;
-      for (int i = 0; i < spec_.n; ++i) {
-        // Divide before the store: a store in between keeps the compiler
-        // from fusing % and / into one division.
-        const std::int64_t digit = rem % spec_.v;
-        rem /= spec_.v;
-        digits_[1][static_cast<std::size_t>(i)] =
-            static_cast<std::uint64_t>(digit);
-      }
-      std::int64_t orbit = 1;
-      if (spec_.use_symmetry) {
-        orbit = orbit_if_canonical();
-        if (orbit == 0) continue;  // a renaming of a smaller root
-      }
+    const auto expand = [this](std::int64_t orbit) {
       ++stats_.expanded_roots;
-      if (!descend(1, orbit)) break;  // counterexample or budget
+      return descend(1, orbit);  // false: counterexample or budget
+    };
+    if (spec_.roots != nullptr) {
+      walk_roots(spec_.roots->shard(shard), expand);
+    } else {
+      walk_roots(shard, n_shards, total, expand);
     }
     out_.stats = stats_;
     out_.counterexample = std::move(counterexample_);
@@ -270,8 +368,10 @@ class ShardWorker {
   /// counterexample or exceeding the node budget is *not* published (the
   /// key is poisoned instead): the owning shard replays it with the plain
   /// DFS and reports the event with exactly the unmemoized order, partial
-  /// counts, and shard attribution. All seed-pass statistics, events, and
-  /// evaluator state are contained here and discarded.
+  /// counts, and shard attribution. Under symmetry a new state whose
+  /// first round renames one already explored takes that subtree's
+  /// outcome instead (see seed_subtree). All seed-pass statistics,
+  /// events, and evaluator state are contained here and discarded.
   void run_seed(MemoTable& seed, std::int64_t total) {
     a_eval_->begin(spec_.n, spec_.rounds);
     b_eval_->begin(spec_.n, spec_.rounds);
@@ -279,53 +379,50 @@ class ShardWorker {
     if (!memo_on_) return;
     seeding_ = true;
     seed_out_ = &seed;
-    for (std::int64_t k = 0; k < total; ++k) {
-      std::int64_t rem = k;
-      for (int i = 0; i < spec_.n; ++i) {
-        // Divide before the store: a store in between keeps the compiler
-        // from fusing % and / into one division.
-        const std::int64_t digit = rem % spec_.v;
-        rem /= spec_.v;
-        digits_[1][static_cast<std::size_t>(i)] =
-            static_cast<std::uint64_t>(digit);
-      }
-      std::int64_t orbit = 1;
-      if (spec_.use_symmetry) {
-        orbit = orbit_if_canonical();
-        if (orbit == 0) continue;
-      }
+    const auto probe = [this](std::int64_t orbit) {
       // Fresh counters per root: the budget window and any recorded
       // events must not leak from one probed subtree into the next.
       stats_ = EnumStats{};
       budget_exceeded_ = false;
       counterexample_.reset();
       descend(1, orbit);
+      return true;
+    };
+    if (spec_.roots != nullptr) {
+      rename_a_ = spec_.a.evaluator();
+      rename_b_ = spec_.b.evaluator();
+      rename_a_->begin(spec_.n, spec_.rounds);
+      rename_b_->begin(spec_.n, spec_.rounds);
+      walk_roots(std::span(spec_.roots->ascending), probe);
+    } else {
+      walk_roots(0, 1, total, probe);
     }
   }
 
  private:
-  /// Orbit size of the current first round if it is canonical
-  /// (lexicographically minimal among its renamings), else 0.
-  std::int64_t orbit_if_canonical() const {
-    const auto& d = digits_[1];
-    const int n = spec_.n;
-    std::int64_t stabilizer = 0;
-    for (const PermTable& p : spec_.perms) {
-      int cmp = 0;
-      for (int j = 0; j < n; ++j) {
-        const std::uint64_t image =
-            p.mask_map[static_cast<std::size_t>(
-                d[static_cast<std::size_t>(
-                    p.inverse[static_cast<std::size_t>(j)])])];
-        if (image != d[static_cast<std::size_t>(j)]) {
-          cmp = image < d[static_cast<std::size_t>(j)] ? -1 : 1;
-          break;
-        }
+  /// Places each of `roots` in digits_ and calls visit(orbit) on it
+  /// until visit returns false.
+  template <typename Visit>
+  void walk_roots(std::span<const CanonicalRoot> roots, const Visit& visit) {
+    auto& d = digits_[1];
+    for (const CanonicalRoot& root : roots) {
+      for (int i = 0; i < spec_.n; ++i) {
+        d[static_cast<std::size_t>(i)] =
+            root.digits[static_cast<std::size_t>(i)];
       }
-      if (cmp < 0) return 0;  // a strictly smaller renaming exists
-      if (cmp == 0) ++stabilizer;
+      if (!visit(root.orbit)) return;
     }
-    return static_cast<std::int64_t>(spec_.perms.size()) / stabilizer;
+  }
+
+  /// Places first rounds first, first + stride, ... below total in
+  /// digits_ and calls visit(1) on each until visit returns false.
+  template <typename Visit>
+  void walk_roots(std::int64_t first, std::int64_t stride, std::int64_t total,
+                  const Visit& visit) {
+    for (std::int64_t k = first; k < total; k += stride) {
+      decode_root(k, spec_.n, spec_.v, digits_[1].data());
+      if (!visit(std::int64_t{1})) return;
+    }
   }
 
   /// A whole subtree below the current depth was decided at once.
@@ -436,29 +533,10 @@ class ShardWorker {
     memo_.assign(static_cast<std::size_t>(spec_.rounds), MemoTable{});
   }
 
-  /// Writes the joint evaluator state into key_. An evaluator retired by
-  /// a kSatisfiedForever promise above is absorbing -- it sees no pushes
-  /// below this depth -- so a tag byte replaces whatever state it froze
-  /// at. A's part is length-prefixed so the concatenation with B's stays
-  /// unambiguous; B's runs to the end of the buffer. Rounds remaining is
-  /// *not* part of the key: tables are indexed by it instead.
+  /// Writes the joint evaluator state of the current node into key_.
   bool compose_key() {
-    key_.clear();
-    if (a_forever_at_ >= 0) {
-      statekey::append_u8(key_, 0xFF);
-    } else {
-      statekey::append_u8(key_, 0x01);
-      const std::size_t pos = statekey::begin_length_prefix(key_);
-      if (!a_eval_->state_bytes(key_)) return false;
-      statekey::end_length_prefix(key_, pos);
-    }
-    if (b_forever_at_ >= 0) {
-      statekey::append_u8(key_, 0xFF);
-    } else {
-      statekey::append_u8(key_, 0x01);
-      if (!b_eval_->state_bytes(key_)) return false;
-    }
-    return true;
+    return core::compose_key(*a_eval_, a_forever_at_ >= 0, *b_eval_,
+                             b_forever_at_ >= 0, key_);
   }
 
   /// Enumerates the whole subtree below the inner node at `depth` (whose
@@ -512,9 +590,13 @@ class ShardWorker {
     return true;
   }
 
-  /// Seed-pass handler for depth-1 subtrees: explores the state's
-  /// subtree iff it is new, with a fresh budget window, and publishes it
-  /// only on clean completion. compose_key has already filled key_.
+  /// Seed-pass handler for depth-1 subtrees: resolves the state iff it
+  /// is new, and publishes it only if its subtree completes. Under
+  /// symmetry a subtree's outcome is shared by its renaming class, so a
+  /// class is explored once: renaming maps the subtree below a first
+  /// round one-to-one onto the subtree below its image, with the same
+  /// verdicts (the symmetric() contract), hence the same work profile and
+  /// the same events. compose_key has already filled key_.
   bool seed_subtree(Round depth, std::int64_t orbit) {
     MemoTable& seed = *seed_out_;
     if (seed.find(key_) != seed.end() ||
@@ -525,20 +607,75 @@ class ShardWorker {
       return true;  // state-rich workload: stop seeding, shards take over
     }
     std::vector<std::uint8_t> key = key_;
-    stats_ = EnumStats{};  // per-subtree budget window; discarded
-    if (!enumerate_level(depth + 1, orbit)) {
+    std::optional<MemoEntry> outcome;
+    if (spec_.roots == nullptr) {
+      outcome = explore_seed(depth, orbit);
+    } else {
+      std::vector<std::uint8_t> cls = class_key();
+      if (const auto it = classes_.find(cls); it != classes_.end()) {
+        outcome = it->second;
+      } else {
+        outcome = explore_seed(depth, orbit);
+        classes_.emplace(std::move(cls), outcome);
+      }
+    }
+    if (outcome.has_value()) {
+      seed.emplace(std::move(key), *outcome);
+    } else {
       // Counterexample or budget exhaustion below: shards must replay
       // this subtree themselves -- in their own deterministic order, with
       // the exact partial counts -- so it must never become a hit.
       poisoned_.insert(std::move(key));
+    }
+    return true;
+  }
+
+  /// Explores the subtree below the current depth-1 node with a fresh
+  /// budget window: its exact work profile, or nullopt when it holds a
+  /// counterexample or exceeds the budget.
+  std::optional<MemoEntry> explore_seed(Round depth, std::int64_t orbit) {
+    stats_ = EnumStats{};  // per-subtree budget window; discarded
+    if (!enumerate_level(depth + 1, orbit)) {
       counterexample_.reset();
       budget_exceeded_ = false;
-      return true;
+      return std::nullopt;
     }
-    seed.emplace(std::move(key),
-                 MemoEntry{stats_.nodes, stats_.leaves,
-                           stats_.pruned_subtrees});
-    return true;
+    return MemoEntry{stats_.nodes, stats_.leaves, stats_.pruned_subtrees};
+  }
+
+  /// The current first round's renaming class: the least depth-1 key,
+  /// composed as compose_key does, over all n! renamings of the round.
+  /// Enforces the contract that makes classes sound: every renaming gets
+  /// the verdict pair of the identity, which comes first.
+  std::vector<std::uint8_t> class_key() {
+    std::array<std::uint64_t, detail::kMaxSymmetryProcesses> renamed{};
+    std::vector<std::uint8_t> best;
+    std::vector<std::uint8_t> key;
+    StepVerdict root_a = StepVerdict::kSatisfiedSoFar;
+    StepVerdict root_b = StepVerdict::kSatisfiedSoFar;
+    bool first = true;
+    for (const PermTable& p : spec_.roots->perms) {
+      rename_round(p, digits_[1].data(), spec_.n, renamed.data());
+      const StepVerdict av = rename_a_->push_round(renamed.data());
+      const StepVerdict bv = rename_b_->push_round(renamed.data());
+      if (first) {
+        root_a = av;
+        root_b = bv;
+      }
+      RRFD_ENSURE_MSG(av == root_a && bv == root_b,
+                      "a symmetric() predicate gave a renamed first round "
+                      "a different verdict");
+      const bool keyed =
+          core::compose_key(*rename_a_, av == StepVerdict::kSatisfiedForever,
+                            *rename_b_, bv == StepVerdict::kSatisfiedForever,
+                            key);
+      rename_b_->pop_round();
+      rename_a_->pop_round();
+      RRFD_ENSURE_MSG(keyed, "keyability is structural");
+      if (first || key < best) best = key;
+      first = false;
+    }
+    return best;
   }
 
   /// In-place odometer over all v^n round assignments at `depth`,
@@ -580,6 +717,13 @@ class ShardWorker {
   bool seeding_ = false;               ///< run_seed mode
   MemoTable* seed_out_ = nullptr;      ///< seed pass output table
   MemoKeySet poisoned_;                ///< seed states with a contained event
+  /// Seed-pass outcome per renaming class (nullopt: poisoned), and the
+  /// scratch evaluators that key renamed first rounds.
+  std::unordered_map<std::vector<std::uint8_t>, std::optional<MemoEntry>,
+                     MemoKeyHash>
+      classes_;
+  std::unique_ptr<StepEvaluator> rename_a_;
+  std::unique_ptr<StepEvaluator> rename_b_;
 };
 
 ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
@@ -588,11 +732,11 @@ ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
 
   SearchSpec spec{a, b, n, rounds, (std::int64_t{1} << n) - 1,
                   /*prune_a=*/options.prune && a.prunable(),
-                  /*prune_b=*/options.prune,
-                  /*use_symmetry=*/false, options.node_budget,
-                  /*leaves_below=*/{}, /*perms=*/{}};
+                  /*prune_b=*/options.prune, options.node_budget,
+                  /*leaves_below=*/{}};
   RRFD_REQUIRE_MSG(spec.node_budget > 0, "node budget must be positive");
 
+  bool use_symmetry = false;
   switch (options.symmetry) {
     case Symmetry::kOff:
       break;
@@ -600,18 +744,16 @@ ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
       RRFD_REQUIRE_MSG(a.symmetric() && b.symmetric(),
                        "symmetry reduction requires both predicates to be "
                        "invariant under process renaming");
-      spec.use_symmetry = true;
+      RRFD_REQUIRE_MSG(n <= detail::kMaxSymmetryProcesses,
+                       "symmetry reduction is limited to n <= 4");
+      use_symmetry = true;
       break;
     case Symmetry::kAuto:
-      // Scanning n! renamings per first round only pays off when n! is
-      // tiny next to the per-root subtree.
-      spec.use_symmetry = a.symmetric() && b.symmetric() && n <= 4;
+      use_symmetry = a.symmetric() && b.symmetric() &&
+                     n <= detail::kMaxSymmetryProcesses;
       break;
   }
-  if (spec.use_symmetry) {
-    RRFD_REQUIRE_MSG(n <= 8, "symmetry tables are limited to n <= 8");
-    spec.perms = build_perm_tables(n);
-  }
+  if (use_symmetry) spec.roots = &detail::canonical_roots(n);
 
   spec.leaves_below.assign(static_cast<std::size_t>(rounds) + 1, 1);
   for (Round d = rounds - 1; d >= 0; --d) {
@@ -644,8 +786,7 @@ ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
   // Fixed shard count, independent of how many threads the runner uses:
   // the merge below walks shards in index order, so the result is
   // byte-identical for any execution schedule.
-  const int n_shards = static_cast<int>(std::min<std::int64_t>(
-      total_roots, 256));
+  const int n_shards = shard_count(total_roots);
 
   std::vector<ShardOutcome> outcomes(static_cast<std::size_t>(n_shards));
   // Lowest shard index that found a counterexample or ran out of budget.
@@ -679,7 +820,7 @@ ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
   // result; everything before it contributes statistics.
   ImplicationResult result;
   result.stats.total_roots = total_roots;
-  result.stats.symmetry_used = spec.use_symmetry;
+  result.stats.symmetry_used = use_symmetry;
   result.stats.shards = n_shards;
   for (int s = 0; s < n_shards; ++s) {
     const ShardOutcome& o = outcomes[static_cast<std::size_t>(s)];
@@ -710,6 +851,20 @@ ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
 }
 
 }  // namespace
+
+namespace detail {
+
+const CanonicalRoots& canonical_roots(int n) {
+  RRFD_REQUIRE_MSG(1 <= n && n <= kMaxSymmetryProcesses,
+                   "canonical-root tables exist for 1 <= n <= 4");
+  static std::array<std::once_flag, kMaxSymmetryProcesses + 1> built;
+  static std::array<CanonicalRoots, kMaxSymmetryProcesses + 1> tables;
+  const auto i = static_cast<std::size_t>(n);
+  std::call_once(built[i], [i, n] { tables[i] = build_canonical_roots(n); });
+  return tables[i];
+}
+
+}  // namespace detail
 
 std::int64_t enumerate_patterns(
     int n, Round rounds,

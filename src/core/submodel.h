@@ -16,9 +16,12 @@
 //    A, so the implication is vacuous there) or B reports
 //    kSatisfiedForever (no counterexample can exist below). Cut subtrees
 //    still contribute their full leaf count to `patterns_checked`.
-//  * Symmetry reduction. When both predicates are symmetric() the engine
-//    expands only first rounds that are canonical under process renaming
-//    and weights each by its orbit size, dividing the work by up to n!.
+//  * Symmetry reduction. When both predicates are symmetric() and n <= 4
+//    the engine expands only first rounds that are canonical under
+//    process renaming and weights each by its orbit size, dividing the
+//    work by up to n!. The canonical first rounds come from a table built
+//    once per process for each n; the memo seed pass explores one subtree
+//    per renaming class of first rounds.
 //  * Deterministic sharding. The first-round index range is split into a
 //    fixed number of shards *independent of thread count*; shard results
 //    are spliced back in shard order, so the outcome (counterexample,
@@ -55,15 +58,15 @@ std::int64_t enumerate_patterns(
 
 /// Process-permutation symmetry reduction policy for the exact checks.
 enum class Symmetry {
-  /// Reduce iff both predicates declare symmetric() and n is small
-  /// enough (n <= 4) that scanning n! renamings per first round is a
-  /// clear win. The default.
+  /// Reduce iff both predicates declare symmetric() and n <= 4, the
+  /// largest n with a canonical-first-round table. The default.
   kAuto,
   /// Never reduce. Required when comparing against the naive sweep
   /// node-for-node; also the only sound choice for asymmetric custom
   /// predicates (kAuto handles that automatically).
   kOff,
-  /// Always reduce. Requires both predicates to be symmetric().
+  /// Always reduce. Requires both predicates to be symmetric() and
+  /// n <= 4; otherwise the check throws before enumerating.
   kOn,
 };
 

@@ -436,6 +436,9 @@ TEST(StepEvaluators, ZooDeclaresPrunableAndSymmetric) {
   for (const auto& pred : evaluator_zoo()) {
     EXPECT_TRUE(pred->prunable()) << pred->name();
     EXPECT_TRUE(pred->symmetric()) << pred->name();
+    // The symmetry claim must be real: renaming-invariant holds() and
+    // three-valued verdicts.
+    check_renaming_invariance(*pred, 3, 2);
   }
 }
 

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/pattern_io.h"
 #include "core/predicates.h"
 #include "core/words.h"
 #include "evaluator_conformance.h"
@@ -189,6 +190,74 @@ TEST(SubmodelMemo, ResultsIdenticalAtAnyThreadCount) {
                            opts_with(Memo::kAuto, Symmetry::kAuto, threads));
     expect_same(serial, sharded, /*include_memo=*/true,
                 "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(SubmodelMemo, GoldenStatsPinTheSeedTable) {
+  // Figures captured from the engine that walked every root and explored
+  // every distinct depth-1 state's subtree in the seed pass. The
+  // canonical-root table and one seed subtree per renaming class must
+  // leave each of them unchanged, memo counters included, at any thread
+  // count: the published seed table is the same key for key.
+  struct Golden {
+    std::string what;
+    PredicatePtr a;
+    PredicatePtr b;
+    Round rounds;
+    std::int64_t decided;
+    std::int64_t nodes;
+    std::int64_t leaves;
+    std::int64_t pruned;
+    std::int64_t hits;
+    std::int64_t misses;
+    std::int64_t entries;
+    std::int64_t expanded_roots;
+    std::string counterexample;  ///< pattern_to_text; empty when it holds
+  };
+  const PredicatePtr immortal = std::make_shared<ImmortalProcess>();
+  const PredicatePtr cum3 = std::make_shared<CumulativeFaultBound>(3);
+  const std::vector<Golden> goldens = {
+      {"immortal => cum(3), 2 rounds", immortal, cum3, 2, 2562890625,
+       35642340, 35640000, 1636, 704, 0, 15, 2340, ""},
+      {"cum(3) => immortal, 2 rounds", cum3, immortal, 2, 2562890625,
+       35642340, 35640000, 1636, 704, 0, 15, 2340, ""},
+      {"immortal => cum(3), 3 rounds", immortal, cum3, 3, 129746337890625,
+       163975541715, 163939899375, 32403317, 704, 0, 15, 2340, ""},
+      {"cum(3) => immortal, 3 rounds", cum3, immortal, 3, 129746337890625,
+       163975541715, 163939899375, 32403317, 704, 0, 15, 2340, ""},
+      {"equal-D => 1-uncertainty, 2 rounds", equal_announcements(),
+       k_uncertainty(1), 2, 2562890625, 204840, 202500, 2336, 4, 0, 1, 2340,
+       ""},
+      {"1-uncertainty => equal-D, 2 rounds", k_uncertainty(1),
+       equal_announcements(), 2, 2562890625, 204840, 202500, 2336, 4, 0, 1,
+       2340, ""},
+      {"sync_crash(1) => sync_omission(1), 2 rounds", sync_crash(1),
+       sync_omission(1), 2, 167561529, 54404, 54242, 160, 1, 1, 1, 162,
+       "n=4\n{},{},{0},{0}\n{0},{0},{0},{0}\n"},
+  };
+  for (const int threads : {1, 4}) {
+    EnumOptions o = opts_with(Memo::kAuto, Symmetry::kAuto, threads);
+    o.node_budget = 1'000'000'000'000'000;
+    for (const Golden& g : goldens) {
+      const std::string what = g.what + " threads=" + std::to_string(threads);
+      const auto r = implies_exhaustive(*g.a, *g.b, 4, g.rounds, o);
+      EXPECT_EQ(r.holds, g.counterexample.empty()) << what;
+      EXPECT_EQ(r.stats.patterns_decided, g.decided) << what;
+      EXPECT_EQ(r.patterns_checked, g.decided) << what;
+      EXPECT_EQ(r.stats.nodes, g.nodes) << what;
+      EXPECT_EQ(r.stats.leaves, g.leaves) << what;
+      EXPECT_EQ(r.stats.pruned_subtrees, g.pruned) << what;
+      EXPECT_EQ(r.stats.expanded_roots, g.expanded_roots) << what;
+      EXPECT_EQ(r.stats.total_roots, 50625) << what;
+      EXPECT_TRUE(r.stats.symmetry_used) << what;
+      EXPECT_EQ(r.stats.memo_hits, g.hits) << what;
+      EXPECT_EQ(r.stats.memo_misses, g.misses) << what;
+      EXPECT_EQ(r.stats.memo_entries, g.entries) << what;
+      const std::string cx = r.counterexample.has_value()
+                                 ? pattern_to_text(*r.counterexample)
+                                 : std::string();
+      EXPECT_EQ(cx, g.counterexample) << what;
+    }
   }
 }
 

@@ -7,11 +7,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <latch>
+#include <memory>
+#include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/adversaries.h"
+#include "core/canonical_roots.h"
+#include "core/pattern_io.h"
 #include "core/predicates.h"
 #include "core/words.h"
+#include "evaluator_conformance.h"
 
 namespace rrfd::core {
 namespace {
@@ -259,6 +267,249 @@ TEST(ExhaustiveBudget, ThrowsWhenNodeBudgetExceeded) {
   EXPECT_THROW(
       implies_exhaustive(*sync_crash(1), *sync_omission(1), 3, 2, tiny),
       ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical-root tables (core/canonical_roots.h)
+// ---------------------------------------------------------------------------
+
+/// First round k's D(i,1) words: digit i of k in base 2^n - 1, process 0's
+/// digit least significant.
+std::vector<std::uint64_t> root_words(std::int64_t k, int n) {
+  const auto v = static_cast<std::int64_t>(full_mask(n));
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < n; ++i, k /= v) {
+    words.push_back(static_cast<std::uint64_t>(k % v));
+  }
+  return words;
+}
+
+std::int64_t root_count(int n) {
+  std::int64_t total = 1;
+  for (int i = 0; i < n; ++i) total *= static_cast<std::int64_t>(full_mask(n));
+  return total;
+}
+
+TEST(SubmodelSymmetry, TableMatchesPerRootLexMinTest) {
+  // The oracle renames every root by every permutation: a root is
+  // canonical iff no renaming is lexicographically smaller, and its orbit
+  // is n! over the renamings that fix it.
+  for (int n = 1; n <= detail::kMaxSymmetryProcesses; ++n) {
+    std::vector<std::vector<int>> perms;
+    std::vector<int> pi(static_cast<std::size_t>(n));
+    std::iota(pi.begin(), pi.end(), 0);
+    do {
+      perms.push_back(pi);
+    } while (std::next_permutation(pi.begin(), pi.end()));
+
+    std::vector<std::pair<std::int64_t, std::int64_t>> expected;
+    for (std::int64_t k = 0; k < root_count(n); ++k) {
+      const std::vector<std::uint64_t> words = root_words(k, n);
+      FaultPattern root(n);
+      root.append(words.data());
+      bool canonical = true;
+      std::int64_t fixed = 0;
+      for (const auto& p : perms) {
+        const FaultPattern renamed = permute(root, p);
+        std::vector<std::uint64_t> image;
+        for (ProcId i = 0; i < n; ++i) image.push_back(renamed.d(i, 1).bits());
+        if (image < words) {
+          canonical = false;
+          break;
+        }
+        if (image == words) ++fixed;
+      }
+      if (canonical) {
+        expected.emplace_back(
+            k, static_cast<std::int64_t>(perms.size()) / fixed);
+      }
+    }
+
+    const detail::CanonicalRoots& table = detail::canonical_roots(n);
+    EXPECT_EQ(table.perms.size(), perms.size()) << "n=" << n;
+    ASSERT_EQ(table.ascending.size(), expected.size()) << "n=" << n;
+    for (std::size_t r = 0; r < expected.size(); ++r) {
+      const detail::CanonicalRoot& root = table.ascending[r];
+      EXPECT_EQ(root.index, expected[r].first) << "n=" << n;
+      EXPECT_EQ(root.orbit, expected[r].second) << "n=" << n;
+      const std::vector<std::uint64_t> words = root_words(root.index, n);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(root.digits[static_cast<std::size_t>(i)],
+                  words[static_cast<std::size_t>(i)])
+            << "n=" << n << " root " << root.index;
+      }
+    }
+  }
+}
+
+TEST(SubmodelSymmetry, TableOrbitsCoverEveryFirstRound) {
+  // Canonical roots of all roots: 1 of 1, 6 of 9, 70 of 343, 2340 of
+  // 50625.
+  const std::vector<std::size_t> canonical = {0, 1, 6, 70, 2340};
+  for (int n = 1; n <= detail::kMaxSymmetryProcesses; ++n) {
+    const detail::CanonicalRoots& table = detail::canonical_roots(n);
+    EXPECT_EQ(table.ascending.size(),
+              canonical[static_cast<std::size_t>(n)])
+        << "n=" << n;
+    std::int64_t covered = 0;
+    for (const auto& root : table.ascending) covered += root.orbit;
+    EXPECT_EQ(covered, root_count(n)) << "n=" << n;
+  }
+}
+
+TEST(SubmodelSymmetry, ShardGroupsPartitionTheTable) {
+  for (int n = 1; n <= detail::kMaxSymmetryProcesses; ++n) {
+    const detail::CanonicalRoots& table = detail::canonical_roots(n);
+    const int shards =
+        static_cast<int>(std::min<std::int64_t>(root_count(n), 256));
+    ASSERT_EQ(table.shard_begin.size(), static_cast<std::size_t>(shards) + 1);
+    EXPECT_EQ(table.shard_begin.front(), 0u);
+    EXPECT_EQ(table.shard_begin.back(), table.by_shard.size());
+    std::vector<std::int64_t> seen;
+    for (int s = 0; s < shards; ++s) {
+      const auto us = static_cast<std::size_t>(s);
+      ASSERT_LE(table.shard_begin[us], table.shard_begin[us + 1]);
+      std::int64_t previous = -1;
+      for (const detail::CanonicalRoot& root : table.shard(s)) {
+        EXPECT_EQ(root.index % shards, s) << "n=" << n;
+        EXPECT_LT(previous, root.index) << "n=" << n;
+        previous = root.index;
+        seen.push_back(root.index);
+      }
+    }
+    std::sort(seen.begin(), seen.end());
+    std::vector<std::int64_t> all;
+    for (const auto& root : table.ascending) all.push_back(root.index);
+    EXPECT_EQ(seen, all) << "n=" << n;
+  }
+}
+
+TEST(SubmodelSymmetry, ConcurrentFirstUseMatchesSerial) {
+  // ctest runs each case in a fresh process, so these four checks are the
+  // first to ask for the n = 4 table, and they ask at the same moment.
+  const auto a = sync_crash(1);
+  const auto b = sync_omission(1);
+  constexpr int kThreads = 4;
+  std::vector<ImplicationResult> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      results[static_cast<std::size_t>(t)] = implies_exhaustive(*a, *b, 4, 2);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const auto serial = implies_exhaustive(*a, *b, 4, 2);
+  ASSERT_FALSE(serial.holds);
+  ASSERT_TRUE(serial.counterexample.has_value());
+  for (const auto& r : results) {
+    EXPECT_EQ(r.holds, serial.holds);
+    EXPECT_EQ(r.patterns_checked, serial.patterns_checked);
+    ASSERT_TRUE(r.counterexample.has_value());
+    EXPECT_EQ(*r.counterexample, *serial.counterexample);
+    EXPECT_EQ(r.stats.nodes, serial.stats.nodes);
+    EXPECT_EQ(r.stats.leaves, serial.stats.leaves);
+    EXPECT_EQ(r.stats.pruned_subtrees, serial.stats.pruned_subtrees);
+    EXPECT_EQ(r.stats.expanded_roots, serial.stats.expanded_roots);
+    EXPECT_EQ(r.stats.memo_hits, serial.stats.memo_hits);
+    EXPECT_EQ(r.stats.memo_misses, serial.stats.memo_misses);
+    EXPECT_EQ(r.stats.memo_entries, serial.stats.memo_entries);
+    EXPECT_TRUE(r.stats.symmetry_used);
+  }
+}
+
+/// Delegates to a predicate and counts the evaluators the engine builds.
+class CountingPredicate final : public Predicate {
+ public:
+  explicit CountingPredicate(PredicatePtr inner) : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  std::string description() const override { return inner_->description(); }
+  bool holds(const FaultPattern& p) const override { return inner_->holds(p); }
+  std::unique_ptr<StepEvaluator> evaluator() const override {
+    ++evaluators;
+    return inner_->evaluator();
+  }
+  bool prunable() const override { return inner_->prunable(); }
+  bool symmetric() const override { return inner_->symmetric(); }
+
+  mutable int evaluators = 0;
+
+ private:
+  PredicatePtr inner_;
+};
+
+TEST(SubmodelSymmetry, KOnAboveFourProcessesThrowsBeforeEnumerating) {
+  const CountingPredicate a(sync_omission(1));
+  const CountingPredicate b(equal_announcements());
+  EnumOptions on;
+  on.symmetry = Symmetry::kOn;
+  EXPECT_THROW(implies_exhaustive(a, b, 5, 1, on), ContractViolation);
+  EXPECT_EQ(a.evaluators + b.evaluators, 0);
+}
+
+TEST(SubmodelSymmetry, KAutoAboveFourProcessesAnswersUnreduced) {
+  // Shard 0 of 256 expands roots 0 and 256 first. Root 256 has
+  // D(0) = D(1) = {3} and the other sets empty: one omission fault, but
+  // unequal announcements. The serial runner then skips every later
+  // shard.
+  const auto r =
+      implies_exhaustive(*sync_omission(1), *equal_announcements(), 5, 1);
+  EXPECT_FALSE(r.holds);
+  EXPECT_FALSE(r.stats.symmetry_used);
+  EXPECT_EQ(r.stats.expanded_roots, 2);
+  ASSERT_TRUE(r.counterexample.has_value());
+  EXPECT_EQ(pattern_to_text(*r.counterexample), "n=5\n{3},{3},{},{},{}\n");
+}
+
+/// Claims symmetry falsely: holds() accepts everything, but the evaluator
+/// promises kSatisfiedForever only when D(0,1) is not empty, so a renamed
+/// first round can get a different verdict.
+class ProcessZeroPromise final : public Predicate {
+ public:
+  std::string name() const override { return "process-0-promise"; }
+  std::string description() const override { return "always holds"; }
+  bool holds(const FaultPattern&) const override { return true; }
+  bool prunable() const override { return true; }
+  bool symmetric() const override { return true; }
+  std::unique_ptr<StepEvaluator> evaluator() const override {
+    class Eval final : public StepEvaluator {
+     public:
+      void begin(int, Round) override { depth_ = 0; }
+      StepVerdict push_round(const std::uint64_t* d) override {
+        return ++depth_ == 1 && d[0] != 0 ? StepVerdict::kSatisfiedForever
+                                          : StepVerdict::kSatisfiedSoFar;
+      }
+      void pop_round() override { --depth_; }
+      bool state_bytes(std::vector<std::uint8_t>& out) const override {
+        statekey::append_u8(out, depth_ == 0 ? 0 : 1);
+        return true;
+      }
+
+     private:
+      int depth_ = 0;
+    };
+    return std::make_unique<Eval>();
+  }
+};
+
+TEST(SubmodelSymmetry, BrokenSymmetryClaimFailsLoudly) {
+  // The seed pass shares one subtree per renaming class only because
+  // renamed first rounds get equal verdicts; it checks that rather than
+  // report counts that depend on which member it explored.
+  const CumulativeFaultBound bound(1);
+  const ProcessZeroPromise liar;
+  try {
+    implies_exhaustive(bound, liar, 3, 2);
+    ADD_FAILURE() << "no ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("renamed first round"),
+              std::string::npos)
+        << e.what();
+  }
+  EnumOptions off;
+  off.symmetry = Symmetry::kOff;
+  EXPECT_TRUE(implies_exhaustive(bound, liar, 3, 2, off).holds);
 }
 
 // ---------------------------------------------------------------------------
