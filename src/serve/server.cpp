@@ -43,14 +43,20 @@ std::string error_line(const std::string& id, const std::string& code,
 /// Renders a finished result for one subscriber: rows, then the
 /// terminal line (done or error). The bytes after the id field are a
 /// pure function of the result -- the byte-identity the cache promises.
+/// The row head is rendered once; each row line reuses one buffer.
 void deliver(const Server::LineSink& sink, const std::string& id,
              const JobResult& result) {
   if (result.failed) {
     sink(error_line(id, result.error_code, result.error_detail));
     return;
   }
+  const std::string row_head = cat(head("row", id), ",");
+  std::string line;
   for (const std::string& row : result.rows) {
-    sink(cat(head("row", id), ",", row, "}"));
+    line = row_head;
+    line += row;
+    line += '}';
+    sink(line);
   }
   sink(cat(head("done", id), ",", result.done, "}"));
 }

@@ -51,7 +51,9 @@ int threads_from_env();
 namespace detail {
 
 /// Runs job(0), ..., job(n_jobs - 1) across `threads` workers (claimed
-/// from a shared counter). threads <= 1 -- or an attached trace sink --
+/// from a shared counter): the calling thread and up to threads - 1
+/// helpers from one process-wide pool (DESIGN.md "Sweep determinism").
+/// threads <= 1 -- or an attached trace sink --
 /// executes serially on the calling thread in index order. All jobs run
 /// even if some throw; afterwards the exception with the lowest job index
 /// is rethrown, so the surfaced failure is schedule-independent.

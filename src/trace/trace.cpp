@@ -317,8 +317,13 @@ class LineParser {
                      where() + ": trailing characters");
   }
 
-  std::string where() const {
-    return cat("trace line ", lineno_, " col ", pos_ + 1);
+  std::size_t pos() const { return pos_; }
+
+  std::string where() const { return where(pos_); }
+
+  /// The location of byte `at` of this line, for a diagnostic.
+  std::string where(std::size_t at) const {
+    return cat("trace line ", lineno_, " col ", at + 1);
   }
 
  private:
@@ -327,20 +332,17 @@ class LineParser {
   std::size_t pos_ = 0;
 };
 
-EventKind kind_from_name(const std::string& name, const std::string& where) {
-  for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
-    if (name == kKindNames[k]) return static_cast<EventKind>(k);
+/// The enumerator named `name` in `names`. An unknown name is rejected
+/// at byte `at` of the parser's line; the location is only rendered
+/// then.
+template <typename Enum, std::size_t N>
+Enum from_name(const char* const (&names)[N], const std::string& name,
+               const char* what, const LineParser& p, std::size_t at) {
+  for (std::size_t k = 0; k < N; ++k) {
+    if (name == names[k]) return static_cast<Enum>(k);
   }
-  RRFD_REQUIRE_MSG(false, where + ": unknown event kind '" + name + "'");
-  return {};
-}
-
-Substrate substrate_from_name(const std::string& name,
-                              const std::string& where) {
-  for (std::size_t k = 0; k < std::size(kSubstrateNames); ++k) {
-    if (name == kSubstrateNames[k]) return static_cast<Substrate>(k);
-  }
-  RRFD_REQUIRE_MSG(false, where + ": unknown substrate '" + name + "'");
+  RRFD_REQUIRE_MSG(false, cat(p.where(at), ": unknown ", what, " '", name,
+                              "'"));
   return {};
 }
 
@@ -391,10 +393,14 @@ Trace read_trace(std::istream& is) {
       }
 
       TraceEvent ev;
-      ev.kind = kind_from_name(kind, p.where());
+      ev.kind = from_name<EventKind>(kKindNames, kind, "event kind", p,
+                                     p.pos());
       p.expect(',');
       RRFD_REQUIRE_MSG(p.key() == "sub", p.where() + ": expected sub");
-      ev.substrate = substrate_from_name(p.string_value(), p.where());
+      // An unknown substrate is reported at its value's opening quote.
+      const std::size_t sub_at = p.pos();
+      ev.substrate = from_name<Substrate>(kSubstrateNames, p.string_value(),
+                                          "substrate", p, sub_at);
       p.expect(',');
       RRFD_REQUIRE_MSG(p.key() == "p", p.where() + ": expected p");
       ev.proc = p.int32_value("p");

@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "agreement/flood_min.h"
+#include "agreement/one_round_kset.h"
 #include "core/adversaries.h"
 #include "core/engine.h"
+#include "msgpass/round_sim.h"
 #include "serve/wire.h"
 #include "trace/trace.h"
 #include "util/log.h"
@@ -371,6 +373,98 @@ TEST(ServeServer, ReplayJobReExecutesByteIdentically) {
   EXPECT_TRUE(has(lines[1], "\"byte_identical\":true")) << lines[1];
   EXPECT_TRUE(has(lines[1], "\"trace_rev\":\"recorder-rev\"")) << lines[1];
   EXPECT_TRUE(has(lines[2], "\"ev\":\"done\"")) << lines[2];
+}
+
+/// A recorded trace rendered as JSONL, stamped with `rev`.
+std::string trace_text(const std::vector<trace::TraceEvent>& events,
+                       const std::string& rev) {
+  trace::Trace recorded;
+  recorded.schema = trace::kTraceSchema;
+  recorded.git_rev = rev;
+  recorded.events = events;
+  std::ostringstream os;
+  trace::write_trace(os, recorded);
+  return os.str();
+}
+
+std::string replay_line(const std::string& id, const std::string& protocol,
+                        const std::string& trace_jsonl) {
+  return cat(R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":")",
+             id, R"(","kind":"replay","protocol":")", protocol, R"(",)",
+             protocol == "kset" ? R"("k":2)" : R"("f":1)", R"(,"trace":")",
+             json_escape(trace_jsonl), R"("})");
+}
+
+TEST(ServeServer, KSetReplayReExecutesByteIdentically) {
+  // An engine run of the Theorem 3.1 one-round k-set protocol under a
+  // k-uncertainty adversary, replayed through the `kset` protocol.
+  constexpr int kN = 5;
+  trace::CaptureRecorder capture;
+  {
+    trace::ScopedTrace attach(&capture);
+    std::vector<agreement::OneRoundKSet> ps;
+    for (int i = 0; i < kN; ++i) ps.emplace_back(i + 1);
+    core::KUncertaintyAdversary adversary(kN, /*k=*/2, /*seed=*/11);
+    core::run_rounds(ps, adversary);
+  }
+  Server server(test_options());
+  Collector out;
+  server.submit_line(
+      replay_line("k1", "kset", trace_text(capture.events(), "kset-rev")),
+      out.sink());
+  server.drain();
+  const auto lines = out.lines_for("k1");
+  ASSERT_EQ(lines.size(), 3u);  // ack + row + done
+  EXPECT_TRUE(has(lines[1], "\"byte_identical\":true")) << lines[1];
+  EXPECT_TRUE(has(lines[1], "\"trace_rev\":\"kset-rev\"")) << lines[1];
+  EXPECT_TRUE(has(lines[2], "\"ev\":\"done\"")) << lines[2];
+}
+
+TEST(ServeServer, UnknownReplayProtocolIsANamedWireError) {
+  Server server(test_options());
+  Collector out;
+  server.submit_line(replay_line("u1", "paxos", "x"), out.sink());
+  const auto lines = out.lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(has(lines[0], "\"ev\":\"error\"")) << lines[0];
+  EXPECT_TRUE(has(lines[0], "\"code\":\"bad_value\"")) << lines[0];
+  EXPECT_TRUE(
+      has(lines[0], "\"detail\":\"unknown replay protocol 'paxos'\""))
+      << lines[0];
+  EXPECT_EQ(server.stats().wire_errors, 1u);
+}
+
+/// Floods nothing: every process broadcasts 0 and ignores what arrives.
+class SilentRounds final : public msgpass::RoundProtocol {
+ public:
+  std::uint64_t emit(core::ProcId, core::Round) override { return 0; }
+  void deliver(core::ProcId, core::Round, core::ProcId,
+               std::uint64_t) override {}
+  void round_complete(core::ProcId, core::Round,
+                      const core::ProcessSet&) override {}
+};
+
+TEST(ServeServer, MsgpassTraceReplayFailsAsUnsupportedSubstrate) {
+  trace::CaptureRecorder capture;
+  {
+    trace::ScopedTrace attach(&capture);
+    SilentRounds proto;
+    msgpass::RoundEnforcedSim sim(/*n=*/3, /*f=*/0, /*seed=*/5);
+    sim.run(proto, /*rounds=*/2);
+  }
+  Server server(test_options());
+  Collector out;
+  server.submit_line(
+      replay_line("s1", "flood_min", trace_text(capture.events(), "mp-rev")),
+      out.sink());
+  server.drain();
+  const auto lines = out.lines_for("s1");
+  ASSERT_EQ(lines.size(), 2u);  // ack + error
+  EXPECT_TRUE(has(lines[0], "\"ev\":\"accepted\"")) << lines[0];
+  EXPECT_TRUE(has(lines[1], "\"code\":\"unsupported_substrate\"")) << lines[1];
+  EXPECT_TRUE(
+      has(lines[1], "\"detail\":\"replay serves engine traces; got msgpass\""))
+      << lines[1];
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace rrfd::serve {
 namespace {
@@ -20,6 +21,17 @@ ErrorCode code_of(const std::string& line) {
   }
   ADD_FAILURE() << "expected a WireError for: " << line;
   return ErrorCode::kParseError;
+}
+
+/// "<code>: <detail>" of the rejection of `line`.
+std::string rejection_of(const std::string& line) {
+  try {
+    (void)parse_request(line);
+  } catch (const WireError& e) {
+    return std::string(error_code_name(e.code())) + ": " + e.detail();
+  }
+  ADD_FAILURE() << "expected a WireError for: " << line;
+  return {};
 }
 
 const std::string kSweep =
@@ -181,6 +193,70 @@ TEST(ServeWire, EscapedStringsRoundTrip) {
       R"("kind":"sweep","n":6,"k":2,"trials":10,"seed":7})");
   EXPECT_EQ(req.client, "c\n1");
   EXPECT_EQ(req.id, "j\"1");
+}
+
+TEST(ServeWire, ScannerDecodesEveryEscapeItAccepts) {
+  const Request req = parse_request(
+      R"({"schema":"rrfd-job-v1","op":"submit","client":"a\\b",)"
+      R"("id":"t\tu\u0041\u007e","kind":"sweep","n":6,"k":2,"trials":10,)"
+      R"("seed":7})");
+  EXPECT_EQ(req.client, "a\\b");
+  EXPECT_EQ(req.id, "t\tuA~");
+}
+
+TEST(ServeWire, RejectionDetailsAreGolden) {
+  // The detail text of every scanner branch and field check, pinned
+  // byte for byte: clients and logs read these, and several are built
+  // by cat() from mixed integer types.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"a":"\q"})", "parse_error: col 9: unsupported escape"},
+      {R"({"a":"\u0})", "parse_error: col 9: truncated \\u escape"},
+      {R"({"a":"\u00zz"})", "parse_error: col 12: bad \\u escape"},
+      {R"({"a":"\u00e9"})", "parse_error: col 13: non-ASCII \\u escape"},
+      {R"({"a" 1})", "parse_error: col 6: expected ':'"},
+      {R"({"a":1 "b":2})", "parse_error: col 8: expected '}'"},
+      {R"({"a":1}x})", "parse_error: col 8: trailing characters"},
+      {R"({"a":true})", "parse_error: col 6: expected string or integer"},
+      {R"({"a":-1})", "bad_value: col 6: negative integer"},
+      {R"({"a":18446744073709551616})", "bad_value: col 26: integer overflow"},
+      {R"({"schema":1,"op":"stats"})",
+       "bad_value: field 'schema' must be a string"},
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"sweep","n":"6","k":2,"trials":10,"seed":7})",
+       "bad_value: field 'n' must be an integer"},
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"sweep","n":65,"k":2,"trials":10,"seed":7})",
+       "bad_value: field 'n' must be in [1, 64], got 65"},
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"sweep","n":4,"k":5,"trials":10,"seed":7})",
+       "bad_value: field 'k' must be in [1, 4], got 5"},
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"sweep","n":4,"k":2,"trials":100001,"seed":7})",
+       "bad_value: field 'trials' must be in [1, 100000], got 100001"},
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"replay","protocol":"paxos","trace":"x"})",
+       "bad_value: unknown replay protocol 'paxos'"},
+  };
+  for (const auto& [line, detail] : cases) {
+    EXPECT_EQ(rejection_of(line), detail) << line;
+  }
+}
+
+TEST(ServeWire, DanglingEscapeIsNamedInAnEmbeddedTrace) {
+  // The request scanner cannot reach its own dangling-escape branch: the
+  // torn-line guard only lets through text that ends in '}'. An embedded
+  // trace line can end in a backslash, and the trace reader names it.
+  const std::string rejection = rejection_of(
+      R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+      R"("kind":"replay","protocol":"flood_min","f":1,"trace":)"
+      R"("{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n)"
+      R"({\"kind\":\"log\",\"level\":0,\"msg\":\"m\\"})");
+  EXPECT_EQ(rejection.rfind("bad_value: embedded trace does not parse: ", 0),
+            0u)
+      << rejection;
+  EXPECT_NE(rejection.find("trace line 2 col 34: dangling escape"),
+            std::string::npos)
+      << rejection;
 }
 
 }  // namespace

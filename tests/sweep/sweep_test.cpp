@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdlib>
 #include <set>
 #include <thread>
@@ -191,6 +192,63 @@ TEST(Sweep, ConcurrentThrowsLeaveNoEmptySlot) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "trial 0");
   }
+}
+
+// ---------------------------------------------------------------------------
+// The helper pool behind run_indexed.
+// ---------------------------------------------------------------------------
+
+TEST(Sweep, CallerRunsAJobOfItsOwnBatch) {
+  // Every job holds its thread at the barrier until all four have
+  // arrived, so each of the four participants runs exactly one job --
+  // and the calling thread, which drains its own batch, is one of them.
+  std::barrier arrive(4);
+  const auto ids = run(
+      4, 0,
+      [&](int, Rng&) {
+        arrive.arrive_and_wait();
+        return std::this_thread::get_id();
+      },
+      /*threads=*/4);
+  const std::set<std::thread::id> distinct(ids.begin(), ids.end());
+  EXPECT_EQ(distinct.size(), 4u);
+  EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(Sweep, NestedParallelRunsComplete) {
+  // A job that runs its own parallel sweep still completes: its thread
+  // drains the inner batch even when no helper is free.
+  const auto outer_job = [](int threads) {
+    return [threads](int outer, Rng& rng) {
+      return run(
+          8, rng(),
+          [outer](int, Rng& r) { return e1_trial(6 + outer % 3, 2, r); },
+          threads);
+    };
+  };
+  EXPECT_EQ(run(8, 0x5EED, outer_job(4), /*threads=*/4),
+            run(8, 0x5EED, outer_job(1), /*threads=*/1));
+}
+
+TEST(Sweep, ConcurrentCallersMatchSerial) {
+  // Plain threads calling sweep::run at once, as the job server's
+  // workers do, share one pool; each still gets the serial results.
+  auto fn = [](int, Rng& rng) { return e1_trial(8, 2, rng); };
+  std::vector<std::vector<std::uint64_t>> serial;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    serial.push_back(run(50, seed, fn, /*threads=*/1));
+  }
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 4; ++c) {
+    callers.emplace_back([&, c] {
+      for (int repeat = 0; repeat < 20; ++repeat) {
+        if (run(50, c, fn, /*threads=*/2) != serial[c]) ++mismatches[c];
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
 // ---------------------------------------------------------------------------

@@ -237,6 +237,36 @@ TEST(Jsonl, ParserErrorsNameTheLine) {
   }
 }
 
+/// The message of the ContractViolation that read_trace throws on `text`.
+std::string rejection_of(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    read_trace(is);
+  } catch (const ContractViolation& violation) {
+    return violation.what();
+  }
+  ADD_FAILURE() << "expected a rejection of: " << text;
+  return {};
+}
+
+TEST(Jsonl, UnknownNamesAreRejectedAtAFixedColumn) {
+  // An unknown event kind is reported just past its value; an unknown
+  // substrate at its value's opening quote.
+  const std::string meta = "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n";
+  const std::string kind = rejection_of(
+      meta +
+      "{\"kind\":\"bogus\",\"sub\":\"engine\",\"p\":0,\"r\":1,\"a\":0,\"b\":0}\n");
+  EXPECT_NE(kind.find("trace line 2 col 16: unknown event kind 'bogus'"),
+            std::string::npos)
+      << kind;
+  const std::string sub = rejection_of(
+      meta +
+      "{\"kind\":\"emit\",\"sub\":\"bogus\",\"p\":0,\"r\":1,\"a\":0,\"b\":0}\n");
+  EXPECT_NE(sub.find("trace line 2 col 22: unknown substrate 'bogus'"),
+            std::string::npos)
+      << sub;
+}
+
 /// A trace whose second line carries `value` in `field` (p, r or level)
 /// and legal values everywhere else.
 std::string trace_with(const std::string& field, const std::string& value) {

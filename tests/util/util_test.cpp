@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +24,52 @@ TEST(Str, CatConcatenatesMixedTypes) {
   EXPECT_EQ(cat("n=", 5, " p=", 1.5), "n=5 p=1.5");
   EXPECT_EQ(cat(), "");
   EXPECT_EQ(cat(42), "42");
+}
+
+/// What an ostringstream writes for the arguments: cat's reference.
+template <typename... Args>
+std::string streamed(const Args&... args) {
+  std::ostringstream os;
+  ((os << args), ...);
+  return os.str();
+}
+
+TEST(Str, CatMatchesTheStreamRendering) {
+  // Every type cat() appends without a stream must give the stream's
+  // bytes exactly.
+  static_assert(str_detail::kAppends<std::string> &&
+                str_detail::kAppends<std::string_view> &&
+                str_detail::kAppends<const char*> &&
+                str_detail::kAppends<char> && str_detail::kAppends<bool> &&
+                str_detail::kAppends<short> &&
+                str_detail::kAppends<std::size_t>);
+  static_assert(!str_detail::kAppends<double> &&
+                !str_detail::kAppends<signed char> &&
+                !str_detail::kAppends<unsigned char>);
+  const std::string s = "str";
+  const std::string empty;
+  const std::string_view view = "view";
+  char buf[] = "mutable";
+  EXPECT_EQ(cat(0), streamed(0));
+  EXPECT_EQ(cat(-1), streamed(-1));
+  EXPECT_EQ(cat(INT64_MIN), streamed(INT64_MIN));
+  EXPECT_EQ(cat(INT64_MAX), streamed(INT64_MAX));
+  EXPECT_EQ(cat(UINT64_MAX), streamed(UINT64_MAX));
+  EXPECT_EQ(cat(short{-32768}), streamed(short{-32768}));
+  EXPECT_EQ(cat(static_cast<unsigned short>(65535)),
+            streamed(static_cast<unsigned short>(65535)));
+  EXPECT_EQ(cat(4294967295u), streamed(4294967295u));
+  EXPECT_EQ(cat(std::size_t{18446744073709551615ULL}),
+            streamed(std::size_t{18446744073709551615ULL}));
+  EXPECT_EQ(cat(-7L, 7UL, -7LL, 7ULL), streamed(-7L, 7UL, -7LL, 7ULL));
+  EXPECT_EQ(cat(true, false), streamed(true, false));
+  EXPECT_EQ(cat(true, false), "10");
+  EXPECT_EQ(cat('x', '\0', 'y'), streamed('x', '\0', 'y'));
+  EXPECT_EQ(cat('\0').size(), 1u);
+  EXPECT_EQ(cat(s, empty, view, "lit", buf), streamed(s, empty, view, "lit", buf));
+  EXPECT_EQ(cat(empty), "");
+  EXPECT_EQ(cat("a", 1, 'b', true, view, -2, s),
+            streamed("a", 1, 'b', true, view, -2, s));
 }
 
 TEST(Str, JoinWithSeparator) {
