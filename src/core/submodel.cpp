@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -101,6 +102,7 @@ class PatternOdometer {
 
 using detail::CanonicalRoot;
 using detail::CanonicalRoots;
+using detail::PermMask;
 using detail::PermTable;
 
 /// Shards per search: fixed by the root count, never by the thread count.
@@ -156,41 +158,103 @@ std::vector<PermTable> build_perm_tables(int n) {
   return tables;
 }
 
-/// Orbit size of first round d if it is canonical (lexicographically
-/// minimal among its renamings), else 0.
+/// Orbit size of round d under the renamings in `members` if d is
+/// canonical under them (lexicographically minimal in its orbit), else 0.
 std::int64_t orbit_if_canonical(const std::vector<PermTable>& perms,
-                                const std::uint64_t* d, int n) {
+                                PermMask members, const std::uint64_t* d,
+                                int n) {
   std::array<std::uint64_t, detail::kMaxSymmetryProcesses> image{};
   std::int64_t stabilizer = 0;
-  for (const PermTable& p : perms) {
-    rename_round(p, d, n, image.data());
+  for (PermMask rest = members; rest != 0; rest &= rest - 1) {
+    rename_round(perms[static_cast<std::size_t>(std::countr_zero(rest))], d,
+                 n, image.data());
     const auto cmp = std::lexicographical_compare_three_way(
         image.begin(), image.begin() + n, d, d + n);
     if (cmp < 0) return 0;  // a strictly smaller renaming exists
     if (cmp == 0) ++stabilizer;
   }
-  return static_cast<std::int64_t>(perms.size()) / stabilizer;
+  return std::popcount(members) / stabilizer;
 }
 
-CanonicalRoots build_canonical_roots(int n) {
-  CanonicalRoots t;
-  t.perms = build_perm_tables(n);
+/// Every subgroup of the group `perms`, as ascending membership masks.
+/// Each subgroup of S_n for n <= 4 is generated by two of its elements,
+/// so closing every pair finds them all.
+std::vector<PermMask> build_subgroups(const std::vector<PermTable>& perms,
+                                      int n) {
+  const std::size_t k = perms.size();
+  const auto image = [&perms](std::size_t p, int i) {
+    return std::countr_zero(perms[p].mask_map[std::size_t{1} << i]);
+  };
+  // product[a * k + b]: the index of perms[a] after perms[b].
+  std::vector<std::size_t> product(k * k);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b < k; ++b) {
+      for (std::size_t c = 0; c < k; ++c) {
+        bool same = true;
+        for (int i = 0; i < n && same; ++i) {
+          same = image(c, i) == image(a, image(b, i));
+        }
+        if (same) product[a * k + b] = c;
+      }
+    }
+  }
+  const auto close = [&](PermMask m) {
+    for (;;) {
+      PermMask next = m;
+      for (PermMask x = m; x != 0; x &= x - 1) {
+        const auto a = static_cast<std::size_t>(std::countr_zero(x));
+        for (PermMask y = m; y != 0; y &= y - 1) {
+          const auto b = static_cast<std::size_t>(std::countr_zero(y));
+          next |= PermMask{1} << product[a * k + b];
+        }
+      }
+      if (next == m) return m;
+      m = next;
+    }
+  };
+  std::vector<PermMask> groups;
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a; b < k; ++b) {
+      groups.push_back(close(PermMask{1} | PermMask{1} << a |
+                             PermMask{1} << b));
+    }
+  }
+  std::sort(groups.begin(), groups.end());
+  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+  return groups;
+}
+
+/// Calls visit(k, d, orbit) on every round k, in ascending index, that is
+/// canonical under the renamings in `members`; d holds its words.
+template <typename Visit>
+void for_each_canonical(const std::vector<PermTable>& perms, PermMask members,
+                        int n, const Visit& visit) {
   const std::int64_t v = (std::int64_t{1} << n) - 1;
   const std::int64_t total = *checked_space(n, n);
   std::array<std::uint64_t, detail::kMaxSymmetryProcesses> d{};
   for (std::int64_t k = 0; k < total; ++k) {
     decode_root(k, n, v, d.data());
-    const std::int64_t orbit = orbit_if_canonical(t.perms, d.data(), n);
-    if (orbit == 0) continue;
-    CanonicalRoot root{k, orbit, {}};
-    for (int i = 0; i < n; ++i) {
-      root.digits[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(d[static_cast<std::size_t>(i)]);
-    }
-    t.ascending.push_back(root);
+    const std::int64_t orbit = orbit_if_canonical(perms, members, d.data(), n);
+    if (orbit != 0) visit(k, d, orbit);
   }
+}
+
+CanonicalRoots build_canonical_roots(int n) {
+  CanonicalRoots t;
+  t.perms = build_perm_tables(n);
+  t.subgroups = build_subgroups(t.perms, n);
+  for_each_canonical(
+      t.perms, t.subgroups.back(), n,
+      [&t, n](std::int64_t k, const auto& d, std::int64_t orbit) {
+        CanonicalRoot root{k, orbit, {}};
+        for (int i = 0; i < n; ++i) {
+          root.digits[static_cast<std::size_t>(i)] =
+              static_cast<std::uint8_t>(d[static_cast<std::size_t>(i)]);
+        }
+        t.ascending.push_back(root);
+      });
   // Group by shard; the stable sort keeps each group ascending.
-  const int shards = shard_count(total);
+  const int shards = shard_count(*checked_space(n, n));
   const auto shard_of = [shards](const CanonicalRoot& r) {
     return static_cast<std::size_t>(r.index % shards);
   };
@@ -203,6 +267,25 @@ CanonicalRoots build_canonical_roots(int n) {
   for (const CanonicalRoot& r : t.ascending) ++t.shard_begin[shard_of(r) + 1];
   std::partial_sum(t.shard_begin.begin(), t.shard_begin.end(),
                    t.shard_begin.begin());
+  return t;
+}
+
+/// The rounds canonical under the subgroup `members` of `perms`, with
+/// their orbit sizes.
+detail::SubgroupRounds build_subgroup_rounds(
+    const std::vector<PermTable>& perms, int n, PermMask members) {
+  detail::SubgroupRounds t;
+  for_each_canonical(
+      perms, members, n,
+      [&t, n](std::int64_t, const auto& d, std::int64_t orbit) {
+        std::uint16_t packed = 0;
+        for (int i = 0; i < n; ++i) {
+          packed = static_cast<std::uint16_t>(
+              packed | d[static_cast<std::size_t>(i)] << (4 * i));
+        }
+        t.rounds.push_back(packed);
+        t.orbits.push_back(static_cast<std::uint8_t>(orbit));
+      });
   return t;
 }
 
@@ -313,6 +396,24 @@ struct ShardOutcome {
   bool ran = false;
 };
 
+/// Seed-pass outcome per renaming class of a state (nullopt: poisoned).
+using ClassTable =
+    std::unordered_map<std::vector<std::uint8_t>, std::optional<MemoEntry>,
+                       MemoKeyHash>;
+
+/// What only the seed pass keeps. run_seed allocates it; a shard worker,
+/// built once per shard, never does.
+struct SeedPass {
+  MemoTable* out = nullptr;  ///< the published depth-1 table
+  MemoKeySet poisoned;       ///< depth-1 states with a contained event
+  /// Outcome per renaming class, indexed by depth. Below depth 1 only
+  /// completed subtrees are kept: an event there poisons depth 1.
+  std::vector<ClassTable> classes;
+  /// Scratch evaluators that key renamed prefixes.
+  std::unique_ptr<StepEvaluator> rename_a;
+  std::unique_ptr<StepEvaluator> rename_b;
+};
+
 /// Depth-first search over one strided set of first-round indices. Owns
 /// its evaluators, buffers, and counters -- shards share nothing mutable
 /// (counters are published into the outcome once, at the end of run(),
@@ -368,17 +469,17 @@ class ShardWorker {
   /// counterexample or exceeding the node budget is *not* published (the
   /// key is poisoned instead): the owning shard replays it with the plain
   /// DFS and reports the event with exactly the unmemoized order, partial
-  /// counts, and shard attribution. Under symmetry a new state whose
-  /// first round renames one already explored takes that subtree's
-  /// outcome instead (see seed_subtree). All seed-pass statistics,
+  /// counts, and shard attribution. Under symmetry each renaming class of
+  /// states is explored once, one next round per orbit of the state's
+  /// group, at every depth (see seed_state). All seed-pass statistics,
   /// events, and evaluator state are contained here and discarded.
   void run_seed(MemoTable& seed, std::int64_t total) {
     a_eval_->begin(spec_.n, spec_.rounds);
     b_eval_->begin(spec_.n, spec_.rounds);
     init_memo();
     if (!memo_on_) return;
-    seeding_ = true;
-    seed_out_ = &seed;
+    seed_ = std::make_unique<SeedPass>();
+    seed_->out = &seed;
     const auto probe = [this](std::int64_t orbit) {
       // Fresh counters per root: the budget window and any recorded
       // events must not leak from one probed subtree into the next.
@@ -389,10 +490,11 @@ class ShardWorker {
       return true;
     };
     if (spec_.roots != nullptr) {
-      rename_a_ = spec_.a.evaluator();
-      rename_b_ = spec_.b.evaluator();
-      rename_a_->begin(spec_.n, spec_.rounds);
-      rename_b_->begin(spec_.n, spec_.rounds);
+      seed_->classes.resize(static_cast<std::size_t>(spec_.rounds));
+      seed_->rename_a = spec_.a.evaluator();
+      seed_->rename_b = spec_.b.evaluator();
+      seed_->rename_a->begin(spec_.n, spec_.rounds);
+      seed_->rename_b->begin(spec_.n, spec_.rounds);
       walk_roots(std::span(spec_.roots->ascending), probe);
     } else {
       walk_roots(0, 1, total, probe);
@@ -550,32 +652,21 @@ class ShardWorker {
   bool explore_below(Round depth, std::int64_t orbit) {
     if (!memo_on_) return enumerate_level(depth + 1, orbit);
     if (!compose_key()) return enumerate_level(depth + 1, orbit);
-    const Round remaining = spec_.rounds - depth;
-    if (seeding_ && remaining == spec_.rounds - 1) {
-      return seed_subtree(depth, orbit);
+    if (seed_ != nullptr && (depth == 1 || spec_.roots != nullptr)) {
+      return seed_state(depth, orbit);
     }
-    MemoTable& table = memo_[static_cast<std::size_t>(remaining)];
+    MemoTable& table = memo_[static_cast<std::size_t>(spec_.rounds - depth)];
     const MemoEntry* entry = nullptr;
     if (const auto it = table.find(key_); it != table.end()) {
       entry = &it->second;
-    } else if (spec_.seed != nullptr && remaining == spec_.rounds - 1) {
+    } else if (spec_.seed != nullptr && depth == 1) {
       if (const auto sit = spec_.seed->find(key_); sit != spec_.seed->end()) {
         entry = &sit->second;
       }
     }
     if (entry != nullptr) {
       ++stats_.memo_hits;
-      stats_.nodes += entry->nodes;
-      stats_.leaves += entry->leaves;
-      stats_.pruned_subtrees += entry->pruned_subtrees;
-      // A stored subtree completed, deciding every leaf below its root.
-      stats_.patterns_decided +=
-          orbit * spec_.leaves_below[static_cast<std::size_t>(depth)];
-      if (stats_.nodes > spec_.node_budget) {
-        budget_exceeded_ = true;
-        return false;
-      }
-      return true;
+      return replay(*entry, depth, orbit);
     }
     ++stats_.memo_misses;
     std::vector<std::uint8_t> key = key_;  // recursion reuses the scratch
@@ -590,90 +681,197 @@ class ShardWorker {
     return true;
   }
 
-  /// Seed-pass handler for depth-1 subtrees: resolves the state iff it
-  /// is new, and publishes it only if its subtree completes. Under
-  /// symmetry a subtree's outcome is shared by its renaming class, so a
-  /// class is explored once: renaming maps the subtree below a first
-  /// round one-to-one onto the subtree below its image, with the same
-  /// verdicts (the symmetric() contract), hence the same work profile and
-  /// the same events. compose_key has already filled key_.
-  bool seed_subtree(Round depth, std::int64_t orbit) {
-    MemoTable& seed = *seed_out_;
-    if (seed.find(key_) != seed.end() ||
-        poisoned_.find(key_) != poisoned_.end()) {
-      return true;  // state already resolved; skip the repeat
-    }
-    if (static_cast<std::int64_t>(seed.size()) >= kMaxSeedEntries) {
-      return true;  // state-rich workload: stop seeding, shards take over
-    }
-    std::vector<std::uint8_t> key = key_;
-    std::optional<MemoEntry> outcome;
-    if (spec_.roots == nullptr) {
-      outcome = explore_seed(depth, orbit);
-    } else {
-      std::vector<std::uint8_t> cls = class_key();
-      if (const auto it = classes_.find(cls); it != classes_.end()) {
-        outcome = it->second;
-      } else {
-        outcome = explore_seed(depth, orbit);
-        classes_.emplace(std::move(cls), outcome);
-      }
-    }
-    if (outcome.has_value()) {
-      seed.emplace(std::move(key), *outcome);
-    } else {
-      // Counterexample or budget exhaustion below: shards must replay
-      // this subtree themselves -- in their own deterministic order, with
-      // the exact partial counts -- so it must never become a hit.
-      poisoned_.insert(std::move(key));
+  /// Accounts a completed subtree below `depth` from its stored profile,
+  /// deciding every leaf below it. False when that exceeds the budget.
+  bool replay(const MemoEntry& entry, Round depth, std::int64_t orbit) {
+    stats_.nodes += entry.nodes;
+    stats_.leaves += entry.leaves;
+    stats_.pruned_subtrees += entry.pruned_subtrees;
+    stats_.patterns_decided +=
+        orbit * spec_.leaves_below[static_cast<std::size_t>(depth)];
+    if (stats_.nodes > spec_.node_budget) {
+      budget_exceeded_ = true;
+      return false;
     }
     return true;
   }
 
-  /// Explores the subtree below the current depth-1 node with a fresh
-  /// budget window: its exact work profile, or nullopt when it holds a
-  /// counterexample or exceeds the budget.
-  std::optional<MemoEntry> explore_seed(Round depth, std::int64_t orbit) {
-    stats_ = EnumStats{};  // per-subtree budget window; discarded
-    if (!enumerate_level(depth + 1, orbit)) {
-      counterexample_.reset();
-      budget_exceeded_ = false;
-      return std::nullopt;
+  /// Seed-pass handler for the state at `depth`, whose key compose_key
+  /// has put in key_. Each state is resolved once. At depth 1 the outcome
+  /// is published into the seed table, or the key is poisoned when the
+  /// subtree holds a counterexample or exceeds the budget (counted in a
+  /// fresh window per subtree). Below depth 1 the outcome goes into the
+  /// seeder's own tables and is accounted as a memo hit would be; an
+  /// event there aborts up to depth 1, which poisons.
+  ///
+  /// Under symmetry a state's outcome is shared by its renaming class, and
+  /// the class is explored once, under the state's group G: the renamings
+  /// pi with key(pi(P)) = key(P) for the prefix P (see class_key). For pi
+  /// in G and any next round y, the subtree below P.y has the profile of
+  /// the one below pi(P).pi(y) -- renamed prefixes get the same verdicts,
+  /// the symmetric() contract -- and that one has the profile of the one
+  /// below P.pi(y), because pi(P) and P have equal keys (the state_bytes
+  /// contract). So profiles are constant on the orbits of the subgroup G
+  /// generates, and explore_orbits visits one round per orbit. A
+  /// counterexample below any round of an orbit lies below its canonical
+  /// round too, so poisoning decides exactly as the full walk does.
+  bool seed_state(Round depth, std::int64_t orbit) {
+    SeedPass& seed = *seed_;
+    const bool root = depth == 1;
+    MemoTable& table =
+        root ? *seed.out
+             : memo_[static_cast<std::size_t>(spec_.rounds - depth)];
+    if (const auto it = table.find(key_); it != table.end()) {
+      return root || replay(it->second, depth, orbit);
     }
-    return MemoEntry{stats_.nodes, stats_.leaves, stats_.pruned_subtrees};
+    if (root && (seed.poisoned.contains(key_) ||
+                 static_cast<std::int64_t>(table.size()) >= kMaxSeedEntries)) {
+      // Resolved already, or a state-rich workload: stop seeding and let
+      // the shards take over.
+      return true;
+    }
+    std::vector<std::uint8_t> key = key_;  // recursion reuses the scratch
+    PermMask group = 1;                    // the identity alone
+    std::vector<std::uint8_t> cls;
+    std::optional<MemoEntry> outcome;
+    bool known = false;
+    if (spec_.roots != nullptr) {
+      cls = class_key(depth, &group);
+      const ClassTable& classes = seed.classes[static_cast<std::size_t>(depth)];
+      if (const auto it = classes.find(cls); it != classes.end()) {
+        outcome = it->second;
+        known = true;
+      }
+    }
+    if (!known) {
+      if (root) stats_ = EnumStats{};  // per-subtree budget window
+      const std::int64_t nodes0 = stats_.nodes;
+      const std::int64_t leaves0 = stats_.leaves;
+      const std::int64_t pruned0 = stats_.pruned_subtrees;
+      if (explore_orbits(depth, group, orbit)) {
+        outcome = MemoEntry{stats_.nodes - nodes0, stats_.leaves - leaves0,
+                            stats_.pruned_subtrees - pruned0};
+      } else if (!root) {
+        return false;
+      } else {
+        counterexample_.reset();
+        budget_exceeded_ = false;
+      }
+      if (spec_.roots != nullptr) {
+        seed.classes[static_cast<std::size_t>(depth)].emplace(std::move(cls),
+                                                              outcome);
+      }
+    }
+    if (!root) {
+      table.emplace(std::move(key), *outcome);
+      return !known || replay(*outcome, depth, orbit);
+    }
+    if (outcome.has_value()) {
+      table.emplace(std::move(key), *outcome);
+    } else {
+      // Counterexample or budget exhaustion below: shards must replay
+      // this subtree themselves -- in their own deterministic order, with
+      // the exact partial counts -- so it must never become a hit.
+      seed.poisoned.insert(std::move(key));
+    }
+    return true;
   }
 
-  /// The current first round's renaming class: the least depth-1 key,
-  /// composed as compose_key does, over all n! renamings of the round.
-  /// Enforces the contract that makes classes sound: every renaming gets
-  /// the verdict pair of the identity, which comes first.
-  std::vector<std::uint8_t> class_key() {
+  /// Enumerates the rounds below the inner node at `depth` once per orbit
+  /// of the subgroup `group` generates, from that subgroup's table of
+  /// canonical rounds. Each canonical round's subtree profile is scaled
+  /// by its orbit size before the budget check, so the budget sees the
+  /// exact mass of the full walk (seed_state says why the profile is
+  /// constant on an orbit). A trivial group takes the plain odometer.
+  bool explore_orbits(Round depth, PermMask group, std::int64_t orbit) {
+    if (group == 1) return enumerate_level(depth + 1, orbit);
+    const detail::SubgroupRounds& canonical = detail::subgroup_rounds(
+        spec_.n, spec_.roots->generated(group));
+    auto& digits = digits_[static_cast<std::size_t>(depth) + 1];
+    for (std::size_t k = 0; k < canonical.rounds.size(); ++k) {
+      const unsigned packed = canonical.rounds[k];
+      for (int i = 0; i < spec_.n; ++i) {
+        digits[static_cast<std::size_t>(i)] = (packed >> (4 * i)) & 0xFu;
+      }
+      const std::int64_t nodes0 = stats_.nodes;
+      const std::int64_t leaves0 = stats_.leaves;
+      const std::int64_t pruned0 = stats_.pruned_subtrees;
+      if (!descend(depth + 1, orbit)) return false;
+      const std::int64_t more = canonical.orbits[k] - 1;
+      stats_.nodes += more * (stats_.nodes - nodes0);
+      stats_.leaves += more * (stats_.leaves - leaves0);
+      stats_.pruned_subtrees += more * (stats_.pruned_subtrees - pruned0);
+      if (stats_.nodes > spec_.node_budget) {
+        budget_exceeded_ = true;
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// The current prefix's renaming class: the least key, composed as
+  /// compose_key does, over all n! renamings of rounds 1 .. depth. Also
+  /// writes to *group the renamings whose key equals the prefix's own. A
+  /// renamed evaluator that promised kSatisfiedForever gets no further
+  /// pushes, as in descend. Enforces the contract that makes classes
+  /// sound: every renamed prefix gets the identity's verdict pair, at
+  /// every round; the identity comes first.
+  std::vector<std::uint8_t> class_key(Round depth, PermMask* group) {
+    StepEvaluator& ra = *seed_->rename_a;
+    StepEvaluator& rb = *seed_->rename_b;
+    const std::vector<PermTable>& perms = spec_.roots->perms;
     std::array<std::uint64_t, detail::kMaxSymmetryProcesses> renamed{};
+    std::vector<std::uint8_t> own;
     std::vector<std::uint8_t> best;
     std::vector<std::uint8_t> key;
-    StepVerdict root_a = StepVerdict::kSatisfiedSoFar;
-    StepVerdict root_b = StepVerdict::kSatisfiedSoFar;
-    bool first = true;
-    for (const PermTable& p : spec_.roots->perms) {
-      rename_round(p, digits_[1].data(), spec_.n, renamed.data());
-      const StepVerdict av = rename_a_->push_round(renamed.data());
-      const StepVerdict bv = rename_b_->push_round(renamed.data());
-      if (first) {
-        root_a = av;
-        root_b = bv;
+    // The identity's verdict pair at each round of the prefix.
+    std::vector<std::pair<StepVerdict, StepVerdict>> verdicts(
+        static_cast<std::size_t>(depth) + 1);
+    *group = 0;
+    for (std::size_t p = 0; p < perms.size(); ++p) {
+      Round a_pushed = 0;
+      Round b_pushed = 0;
+      bool a_retired = false;
+      bool b_retired = false;
+      for (Round r = 1; r <= depth; ++r) {
+        rename_round(perms[p], digits_[static_cast<std::size_t>(r)].data(),
+                     spec_.n, renamed.data());
+        StepVerdict av = StepVerdict::kSatisfiedForever;
+        StepVerdict bv = StepVerdict::kSatisfiedForever;
+        if (!a_retired) {
+          av = ra.push_round(renamed.data());
+          ++a_pushed;
+          a_retired = av == StepVerdict::kSatisfiedForever;
+        }
+        if (!b_retired) {
+          bv = rb.push_round(renamed.data());
+          ++b_pushed;
+          b_retired = bv == StepVerdict::kSatisfiedForever;
+        }
+        auto& identity = verdicts[static_cast<std::size_t>(r)];
+        if (p == 0) {
+          identity = {av, bv};
+        } else if (r == 1) {
+          RRFD_ENSURE_MSG(identity == std::pair(av, bv),
+                          "a symmetric() predicate gave a renamed first "
+                          "round a different verdict");
+        } else {
+          RRFD_ENSURE_MSG(identity == std::pair(av, bv),
+                          "a symmetric() predicate gave a renamed prefix a "
+                          "different verdict below its first round");
+        }
       }
-      RRFD_ENSURE_MSG(av == root_a && bv == root_b,
-                      "a symmetric() predicate gave a renamed first round "
-                      "a different verdict");
-      const bool keyed =
-          core::compose_key(*rename_a_, av == StepVerdict::kSatisfiedForever,
-                            *rename_b_, bv == StepVerdict::kSatisfiedForever,
-                            key);
-      rename_b_->pop_round();
-      rename_a_->pop_round();
+      const bool keyed = core::compose_key(ra, a_retired, rb, b_retired, key);
+      for (; b_pushed > 0; --b_pushed) rb.pop_round();
+      for (; a_pushed > 0; --a_pushed) ra.pop_round();
       RRFD_ENSURE_MSG(keyed, "keyability is structural");
-      if (first || key < best) best = key;
-      first = false;
+      if (p == 0) {
+        own = key;
+        best = key;
+      } else if (key < best) {
+        best = key;
+      }
+      if (key == own) *group |= PermMask{1} << p;
     }
     return best;
   }
@@ -714,16 +912,7 @@ class ShardWorker {
   bool memo_on_ = false;               ///< requested and both evaluators keyed
   std::vector<MemoTable> memo_;        ///< indexed by rounds remaining
   std::vector<std::uint8_t> key_;      ///< compose_key scratch
-  bool seeding_ = false;               ///< run_seed mode
-  MemoTable* seed_out_ = nullptr;      ///< seed pass output table
-  MemoKeySet poisoned_;                ///< seed states with a contained event
-  /// Seed-pass outcome per renaming class (nullopt: poisoned), and the
-  /// scratch evaluators that key renamed first rounds.
-  std::unordered_map<std::vector<std::uint8_t>, std::optional<MemoEntry>,
-                     MemoKeyHash>
-      classes_;
-  std::unique_ptr<StepEvaluator> rename_a_;
-  std::unique_ptr<StepEvaluator> rename_b_;
+  std::unique_ptr<SeedPass> seed_;     ///< set in run_seed only
 };
 
 ImplicationResult run_search(const Predicate& a, const Predicate& b, int n,
@@ -862,6 +1051,25 @@ const CanonicalRoots& canonical_roots(int n) {
   const auto i = static_cast<std::size_t>(n);
   std::call_once(built[i], [i, n] { tables[i] = build_canonical_roots(n); });
   return tables[i];
+}
+
+const SubgroupRounds& subgroup_rounds(int n, std::size_t s) {
+  const CanonicalRoots& roots = canonical_roots(n);
+  RRFD_REQUIRE_MSG(s < roots.subgroups.size(), "no such subgroup of S_n");
+  // S_4 has the most subgroups of any n <= 4: 30.
+  constexpr std::size_t kMaxSubgroups = 30;
+  struct Slot {
+    std::once_flag built;
+    SubgroupRounds table;
+  };
+  static std::array<std::array<Slot, kMaxSubgroups>,
+                    kMaxSymmetryProcesses + 1>
+      slots;
+  Slot& slot = slots[static_cast<std::size_t>(n)][s];
+  std::call_once(slot.built, [&slot, &roots, n, s] {
+    slot.table = build_subgroup_rounds(roots.perms, n, roots.subgroups[s]);
+  });
+  return slot.table;
 }
 
 }  // namespace detail

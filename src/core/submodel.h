@@ -20,8 +20,11 @@
 //    the engine expands only first rounds that are canonical under
 //    process renaming and weights each by its orbit size, dividing the
 //    work by up to n!. The canonical first rounds come from a table built
-//    once per process for each n; the memo seed pass explores one subtree
-//    per renaming class of first rounds.
+//    once per process for each n. The memo seed pass explores one subtree
+//    per renaming class of states, at every depth, and below a state it
+//    expands one next round per orbit of the state's group (the renamings
+//    that leave its evaluator key unchanged), weighted by the orbit size;
+//    those rounds come from per-subgroup tables built on first use.
 //  * Deterministic sharding. The first-round index range is split into a
 //    fixed number of shards *independent of thread count*; shard results
 //    are spliced back in shard order, so the outcome (counterexample,

@@ -42,7 +42,8 @@ ResultCache::Outcome ResultCache::submit(const std::string& key,
   return Outcome::kHit;
 }
 
-void ResultCache::publish(const std::string& key, JobResult result) {
+std::shared_ptr<const JobResult> ResultCache::publish(const std::string& key,
+                                                     JobResult result) {
   RRFD_REQUIRE_MSG(!result.failed, "publish() is for successes; use fail()");
   auto stored = std::make_shared<const JobResult>(std::move(result));
   std::vector<Delivery> waiters;
@@ -56,6 +57,7 @@ void ResultCache::publish(const std::string& key, JobResult result) {
     waiters.swap(it->second.waiters);
   }
   for (const Delivery& waiter : waiters) waiter(*stored);
+  return stored;
 }
 
 void ResultCache::fail(const std::string& key, JobResult error) {

@@ -86,8 +86,11 @@ class ResultCache {
                  std::shared_ptr<const JobResult>* hit);
 
   /// Resolves an in-flight key: stores the result and delivers it to
-  /// every joined waiter. `result.failed` must be false.
-  void publish(const std::string& key, JobResult result);
+  /// every joined waiter. `result.failed` must be false. Returns the
+  /// stored result -- the object every later kHit receives -- so the
+  /// leader can deliver it without a copy of its own.
+  std::shared_ptr<const JobResult> publish(const std::string& key,
+                                           JobResult result);
 
   /// Resolves an in-flight key with a failure: delivers the error to
   /// every joined waiter and erases the entry (failures are not cached).

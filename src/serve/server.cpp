@@ -220,12 +220,15 @@ void Server::submit_line(const std::string& line, const LineSink& sink) {
     JobResult result = im.execute_job(req);
     if (lead) {
       // Resolve the cache entry first so late duplicates hit/join the
-      // finished result rather than leading a second execution.
-      if (result.failed) {
-        im.cache.fail(key, result);
-      } else {
-        im.cache.publish(key, result);
+      // finished result rather than leading a second execution. A
+      // success is delivered from the stored result: its rows are never
+      // copied.
+      if (!result.failed) {
+        const auto stored = im.cache.publish(key, std::move(result));
+        deliver(sink, id, *stored);
+        return;
       }
+      im.cache.fail(key, result);
     }
     deliver(sink, id, result);
   };

@@ -27,6 +27,7 @@
 #include "core/words.h"
 #include "evaluator_conformance.h"
 #include "ho/catalog.h"
+#include "ho/compile.h"
 #include "sweep/submodel_parallel.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -108,6 +109,31 @@ TEST(SubmodelMemo, MatchesPlainDfsAtThreeRounds) {
         expect_same(off, on, /*include_memo=*/false,
                     a.name + " => " + b.name + " r=3");
       }
+    }
+  }
+}
+
+TEST(SubmodelMemo, MatchesPlainDfsAtThreeRoundsN3) {
+  // At n = 2, S2 leaves the seed pass's depth-2 groups trivial; n = 3 is
+  // the smallest size where a depth-2 state's renaming group is not, so
+  // the seed pass walks canonical rounds below depth 2 as well. A zoo
+  // slice plus two compiled Heard-Of specs, every ordered pair.
+  const auto all = zoo(3);
+  std::vector<NamedPredicate> preds = {all[0], all[2], all[5], all[6],
+                                       all[7]};
+  preds.push_back({"immortal", std::make_shared<ImmortalProcess>()});
+  preds.push_back({"cumulative_2", std::make_shared<CumulativeFaultBound>(2)});
+  preds.push_back({"ho_loss_cap(1)", ho::compile_text("loss_cap(1)")});
+  preds.push_back({"ho_all(self_delivery(),faulty(1))",
+                   ho::compile_text("all(self_delivery(),faulty(1))")});
+  for (const auto& a : preds) {
+    for (const auto& b : preds) {
+      const auto off = implies_exhaustive(
+          *a.pred, *b.pred, 3, 3, opts_with(Memo::kOff, Symmetry::kAuto));
+      const auto on = implies_exhaustive(
+          *a.pred, *b.pred, 3, 3, opts_with(Memo::kAuto, Symmetry::kAuto));
+      expect_same(off, on, /*include_memo=*/false,
+                  a.name + " => " + b.name + " n=3 r=3");
     }
   }
 }
@@ -261,6 +287,60 @@ TEST(SubmodelMemo, GoldenStatsPinTheSeedTable) {
   }
 }
 
+TEST(SubmodelMemo, GoldenStatsPinTheHeardOfSeeds) {
+  // The Heard-Of recoveries among the n = 4 equivalences (E19), which
+  // GoldenStatsPinTheSeedTable leaves out: their compiled evaluators key
+  // through ho/compile.cpp, so their seed tables come from a different
+  // state_bytes family. Figures captured from the engine whose seed pass
+  // explored one subtree per renaming class at full width.
+  struct Golden {
+    std::string what;
+    PredicatePtr a;
+    PredicatePtr b;
+    std::int64_t nodes;
+    std::int64_t leaves;
+    std::int64_t pruned;
+    std::int64_t hits;
+    std::int64_t misses;
+    std::int64_t entries;
+  };
+  const PredicatePtr loss_cap = ho::compile_text("loss_cap(1)");
+  const PredicatePtr async = async_message_passing(1);
+  const PredicatePtr self_faulty =
+      ho::compile_text("all(self_delivery(),faulty(1))");
+  const PredicatePtr omission = sync_omission(1);
+  const std::vector<Golden> goldens = {
+      {"loss_cap(1) => async(1)", loss_cap, async, 2280465, 2278125, 2295,
+       45, 0, 1},
+      {"async(1) => loss_cap(1)", async, loss_cap, 2280465, 2278125, 2295,
+       45, 0, 1},
+      {"all(self_delivery(),faulty(1)) => omission(1)", self_faulty, omission,
+       204840, 202500, 2336, 4, 0, 2},
+      {"omission(1) => all(self_delivery(),faulty(1))", omission, self_faulty,
+       204840, 202500, 2336, 4, 0, 2},
+  };
+  for (const int threads : {1, 4}) {
+    EnumOptions o = opts_with(Memo::kAuto, Symmetry::kAuto, threads);
+    o.node_budget = 1'000'000'000'000'000;
+    for (const Golden& g : goldens) {
+      const std::string what = g.what + " threads=" + std::to_string(threads);
+      const auto r = implies_exhaustive(*g.a, *g.b, 4, 2, o);
+      EXPECT_TRUE(r.holds) << what;
+      EXPECT_EQ(r.stats.patterns_decided, 2562890625) << what;
+      EXPECT_EQ(r.patterns_checked, 2562890625) << what;
+      EXPECT_EQ(r.stats.nodes, g.nodes) << what;
+      EXPECT_EQ(r.stats.leaves, g.leaves) << what;
+      EXPECT_EQ(r.stats.pruned_subtrees, g.pruned) << what;
+      EXPECT_EQ(r.stats.expanded_roots, 2340) << what;
+      EXPECT_EQ(r.stats.total_roots, 50625) << what;
+      EXPECT_TRUE(r.stats.symmetry_used) << what;
+      EXPECT_EQ(r.stats.memo_hits, g.hits) << what;
+      EXPECT_EQ(r.stats.memo_misses, g.misses) << what;
+      EXPECT_EQ(r.stats.memo_entries, g.entries) << what;
+    }
+  }
+}
+
 TEST(SubmodelMemo, CounterexampleIdenticalWithAndWithoutMemo) {
   // A refuted implication: 2-uncertainty does not imply 1-uncertainty.
   // The first counterexample in deterministic engine order must be the
@@ -291,6 +371,38 @@ TEST(SubmodelMemo, BudgetExceededIdenticalWithAndWithoutMemo) {
     o.node_budget = 50;
     EXPECT_THROW(implies_exhaustive(immortal, bound, 3, 2, o),
                  ContractViolation);
+  }
+}
+
+TEST(SubmodelMemo, BudgetExceededIdenticalUnderSymmetry) {
+  // The seed pass visits one second round per orbit of a state's renaming
+  // group and scales each subtree by its orbit, so a seed subtree's
+  // reduced visit count (2340 to 13080 here) is far below its true mass
+  // (50625 nodes). Budgets below the reduced count, between it and the
+  // true mass, between that and a shard's total, and large enough to pass
+  // must all decide exactly as the unmemoized search does.
+  const ImmortalProcess immortal;
+  const CumulativeFaultBound bound(3);
+  for (const std::int64_t budget :
+       {1'000, 5'000, 10'000, 20'000, 100'000, 100'000'000}) {
+    std::string thrown[2];
+    ImplicationResult result[2];
+    for (const Memo memo : {Memo::kOff, Memo::kAuto}) {
+      const int i = memo == Memo::kAuto ? 1 : 0;
+      auto o = opts_with(memo, Symmetry::kAuto);
+      o.node_budget = budget;
+      try {
+        result[i] = implies_exhaustive(immortal, bound, 4, 2, o);
+      } catch (const ContractViolation& e) {
+        thrown[i] = e.what();
+      }
+    }
+    const std::string what = "budget=" + std::to_string(budget);
+    EXPECT_EQ(thrown[0], thrown[1]) << what;
+    if (thrown[0].empty() && thrown[1].empty()) {
+      EXPECT_TRUE(result[0].holds) << what;
+      expect_same(result[0], result[1], /*include_memo=*/false, what);
+    }
   }
 }
 

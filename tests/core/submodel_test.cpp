@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <latch>
@@ -419,6 +420,198 @@ TEST(SubmodelSymmetry, ConcurrentFirstUseMatchesSerial) {
   }
 }
 
+/// perms[p] of the table at n as the images pi(0), ..., pi(n - 1), read
+/// off its mask map.
+std::vector<std::vector<int>> perm_images(const detail::CanonicalRoots& table,
+                                          int n) {
+  std::vector<std::vector<int>> images;
+  for (const detail::PermTable& perm : table.perms) {
+    std::vector<int> pi;
+    for (int i = 0; i < n; ++i) {
+      pi.push_back(std::countr_zero(perm.mask_map[std::size_t{1} << i]));
+    }
+    images.push_back(std::move(pi));
+  }
+  return images;
+}
+
+/// Index of a subgroup table's packed round: digit i is bits 4i .. 4i + 3.
+std::int64_t packed_index(std::uint16_t packed, int n) {
+  const auto v = static_cast<std::int64_t>(full_mask(n));
+  std::int64_t index = 0;
+  for (int i = n - 1; i >= 0; --i) {
+    index = index * v + ((packed >> (4 * i)) & 15);
+  }
+  return index;
+}
+
+TEST(SubmodelSymmetry, SubgroupTablesMatchAPermuteOracle) {
+  // Each subgroup H of S_n has a table of the rounds that are
+  // lexicographically minimal in their H-orbit. The oracle renames every
+  // round by every permutation once, through permute(), and decides each
+  // subgroup's canonical rounds and orbit sizes from those images.
+  const std::vector<std::size_t> subgroup_count = {0, 1, 2, 6, 30};
+  for (int n = 1; n <= detail::kMaxSymmetryProcesses; ++n) {
+    const detail::CanonicalRoots& table = detail::canonical_roots(n);
+    ASSERT_EQ(table.subgroups.size(),
+              subgroup_count[static_cast<std::size_t>(n)])
+        << "n=" << n;
+    const std::vector<std::vector<int>> images = perm_images(table, n);
+    std::vector<int> identity(static_cast<std::size_t>(n));
+    std::iota(identity.begin(), identity.end(), 0);
+    ASSERT_EQ(images.front(), identity);
+    EXPECT_EQ(table.subgroups.front(), 1u) << "n=" << n;
+    EXPECT_EQ(table.subgroups.back(),
+              (detail::PermMask{1} << images.size()) - 1)
+        << "n=" << n;
+    // product(a, b): the index of perms[a] after perms[b].
+    const auto product = [&](std::size_t a, std::size_t b) {
+      std::vector<int> ab;
+      for (int i = 0; i < n; ++i) {
+        ab.push_back(images[a][static_cast<std::size_t>(
+            images[b][static_cast<std::size_t>(i)])]);
+      }
+      return static_cast<std::size_t>(
+          std::find(images.begin(), images.end(), ab) - images.begin());
+    };
+    // Every mask is a distinct subgroup, closed under composition, and
+    // generates itself.
+    for (std::size_t s = 0; s < table.subgroups.size(); ++s) {
+      const detail::PermMask h = table.subgroups[s];
+      if (s > 0) {
+        EXPECT_LT(table.subgroups[s - 1], h) << "n=" << n;
+      }
+      EXPECT_EQ(table.generated(h), s) << "n=" << n;
+      for (std::size_t a = 0; a < images.size(); ++a) {
+        for (std::size_t b = 0; b < images.size(); ++b) {
+          if (((h >> a) & 1) == 0 || ((h >> b) & 1) == 0) continue;
+          EXPECT_EQ((h >> product(a, b)) & 1, 1u)
+              << "n=" << n << " subgroup " << s;
+        }
+      }
+    }
+    // One renaming generates its powers.
+    for (std::size_t a = 0; a < images.size(); ++a) {
+      detail::PermMask powers = 1;
+      for (std::size_t x = a; x != 0; x = product(x, a)) {
+        powers |= detail::PermMask{1} << x;
+      }
+      EXPECT_EQ(table.subgroups[table.generated(1u | detail::PermMask{1} << a)],
+                powers)
+          << "n=" << n << " renaming " << a;
+    }
+
+    // lex[p][k]: round k renamed by perms[p], read as a number whose
+    // digits are its D(0), ..., D(n - 1) words, D(0) most significant,
+    // so that comparing numbers compares the words lexicographically.
+    const std::int64_t total = root_count(n);
+    const auto v = static_cast<std::int64_t>(full_mask(n));
+    std::vector<std::vector<std::int64_t>> lex(
+        images.size(),
+        std::vector<std::int64_t>(static_cast<std::size_t>(total)));
+    for (std::int64_t k = 0; k < total; ++k) {
+      const std::vector<std::uint64_t> words = root_words(k, n);
+      FaultPattern root(n);
+      root.append(words.data());
+      for (std::size_t p = 0; p < images.size(); ++p) {
+        const FaultPattern renamed = permute(root, images[p]);
+        std::int64_t number = 0;
+        for (ProcId i = 0; i < n; ++i) {
+          number =
+              number * v + static_cast<std::int64_t>(renamed.d(i, 1).bits());
+        }
+        lex[p][static_cast<std::size_t>(k)] = number;
+      }
+    }
+
+    for (std::size_t s = 0; s < table.subgroups.size(); ++s) {
+      const detail::PermMask h = table.subgroups[s];
+      std::vector<std::pair<std::int64_t, std::int64_t>> expected;
+      for (std::int64_t k = 0; k < total; ++k) {
+        const auto uk = static_cast<std::size_t>(k);
+        bool canonical = true;
+        std::int64_t fixed = 0;
+        for (std::size_t p = 0; p < images.size() && canonical; ++p) {
+          if (((h >> p) & 1) == 0) continue;
+          canonical = lex[p][uk] >= lex[0][uk];
+          if (lex[p][uk] == lex[0][uk]) ++fixed;
+        }
+        if (canonical) expected.emplace_back(k, std::popcount(h) / fixed);
+      }
+      const detail::SubgroupRounds& got = detail::subgroup_rounds(n, s);
+      const std::string what = "n=" + std::to_string(n) + " subgroup " +
+                               std::to_string(s);
+      ASSERT_EQ(got.rounds.size(), expected.size()) << what;
+      ASSERT_EQ(got.orbits.size(), expected.size()) << what;
+      std::int64_t covered = 0;
+      for (std::size_t r = 0; r < expected.size(); ++r) {
+        EXPECT_EQ(packed_index(got.rounds[r], n), expected[r].first) << what;
+        EXPECT_EQ(got.orbits[r], expected[r].second) << what;
+        covered += got.orbits[r];
+      }
+      EXPECT_EQ(covered, total) << what;
+    }
+  }
+}
+
+TEST(SubmodelSymmetry, ConcurrentFirstUseOfSubgroupTablesMatchesSerial) {
+  // ctest runs each case in a fresh process, so these four threads are the
+  // first to ask for the n = 4 subgroup tables, and they ask at the same
+  // moment: each runs the E21 check, whose seed pass builds the tables of
+  // its states' groups, then asks for every table in its own order.
+  const ImmortalProcess immortal;
+  const CumulativeFaultBound bound(3);
+  const std::size_t count = detail::canonical_roots(4).subgroups.size();
+  constexpr int kThreads = 4;
+  std::vector<ImplicationResult> results(kThreads);
+  std::vector<std::vector<const detail::SubgroupRounds*>> seen(
+      kThreads, std::vector<const detail::SubgroupRounds*>(count));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const auto ut = static_cast<std::size_t>(t);
+      results[ut] = implies_exhaustive(immortal, bound, 4, 2);
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t s = (i + 7 * ut) % count;
+        seen[ut][s] = &detail::subgroup_rounds(4, s);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const auto serial = implies_exhaustive(immortal, bound, 4, 2);
+  ASSERT_TRUE(serial.holds);
+  for (const auto& r : results) {
+    EXPECT_EQ(r.holds, serial.holds);
+    EXPECT_EQ(r.patterns_checked, serial.patterns_checked);
+    EXPECT_EQ(r.stats.nodes, serial.stats.nodes);
+    EXPECT_EQ(r.stats.leaves, serial.stats.leaves);
+    EXPECT_EQ(r.stats.pruned_subtrees, serial.stats.pruned_subtrees);
+    EXPECT_EQ(r.stats.memo_hits, serial.stats.memo_hits);
+    EXPECT_EQ(r.stats.memo_misses, serial.stats.memo_misses);
+    EXPECT_EQ(r.stats.memo_entries, serial.stats.memo_entries);
+  }
+  for (std::size_t s = 0; s < count; ++s) {
+    const detail::SubgroupRounds& table = detail::subgroup_rounds(4, s);
+    std::int64_t covered = 0;
+    for (const std::uint8_t orbit : table.orbits) covered += orbit;
+    EXPECT_EQ(covered, root_count(4)) << "subgroup " << s;
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(t)][s], &table)
+          << "subgroup " << s;
+    }
+  }
+  // The whole group's canonical rounds are the canonical first rounds.
+  const detail::SubgroupRounds& full = detail::subgroup_rounds(4, count - 1);
+  const auto& ascending = detail::canonical_roots(4).ascending;
+  ASSERT_EQ(full.rounds.size(), ascending.size());
+  for (std::size_t r = 0; r < ascending.size(); ++r) {
+    EXPECT_EQ(packed_index(full.rounds[r], 4), ascending[r].index);
+    EXPECT_EQ(full.orbits[r], ascending[r].orbit);
+  }
+}
+
 /// Delegates to a predicate and counts the evaluators the engine builds.
 class CountingPredicate final : public Predicate {
  public:
@@ -510,6 +703,55 @@ TEST(SubmodelSymmetry, BrokenSymmetryClaimFailsLoudly) {
   EnumOptions off;
   off.symmetry = Symmetry::kOff;
   EXPECT_TRUE(implies_exhaustive(bound, liar, 3, 2, off).holds);
+}
+
+/// Claims symmetry falsely below the first round: its second-round
+/// promise depends on D(0,2) alone, so a renamed two-round prefix can get
+/// a different verdict while every renamed first round gets the same one.
+class ProcessZeroSecondRoundPromise final : public Predicate {
+ public:
+  std::string name() const override { return "process-0-second-round"; }
+  std::string description() const override { return "always holds"; }
+  bool holds(const FaultPattern&) const override { return true; }
+  bool prunable() const override { return true; }
+  bool symmetric() const override { return true; }
+  std::unique_ptr<StepEvaluator> evaluator() const override {
+    class Eval final : public StepEvaluator {
+     public:
+      void begin(int, Round) override { depth_ = 0; }
+      StepVerdict push_round(const std::uint64_t* d) override {
+        return ++depth_ == 2 && d[0] != 0 ? StepVerdict::kSatisfiedForever
+                                          : StepVerdict::kSatisfiedSoFar;
+      }
+      void pop_round() override { --depth_; }
+      bool state_bytes(std::vector<std::uint8_t>& out) const override {
+        statekey::append_u8(out, static_cast<std::uint8_t>(depth_));
+        return true;
+      }
+
+     private:
+      int depth_ = 0;
+    };
+    return std::make_unique<Eval>();
+  }
+};
+
+TEST(SubmodelSymmetry, BrokenSymmetryBelowTheFirstRoundFailsLoudly) {
+  // The seed pass also shares subtrees between renamed deeper states, so
+  // it checks every renamed prefix's verdicts, not only the first round's.
+  const CumulativeFaultBound bound(1);
+  const ProcessZeroSecondRoundPromise liar;
+  try {
+    implies_exhaustive(bound, liar, 3, 3);
+    ADD_FAILURE() << "no ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("below its first round"),
+              std::string::npos)
+        << e.what();
+  }
+  EnumOptions off;
+  off.symmetry = Symmetry::kOff;
+  EXPECT_TRUE(implies_exhaustive(bound, liar, 3, 3, off).holds);
 }
 
 // ---------------------------------------------------------------------------

@@ -47,6 +47,23 @@ TEST(ServeCache, LeadThenHitReplaysTheStoredResult) {
   EXPECT_EQ(stats.joins, 0u);
 }
 
+TEST(ServeCache, PublishHandsBackTheStoredResult) {
+  // The leader delivers from the pointer publish() returns, so it must be
+  // the very object a later hit replays, not a copy of it.
+  ResultCache cache("abc1234");
+  std::shared_ptr<const JobResult> hit;
+  ASSERT_EQ(cache.submit("k1", [](const JobResult&) {}, &hit),
+            ResultCache::Outcome::kLead);
+  const std::shared_ptr<const JobResult> stored =
+      cache.publish("k1", ok_result("\"trial\":0,\"digest\":42"));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->rows,
+            (std::vector<std::string>{"\"trial\":0,\"digest\":42"}));
+  ASSERT_EQ(cache.submit("k1", [](const JobResult&) {}, &hit),
+            ResultCache::Outcome::kHit);
+  EXPECT_EQ(hit.get(), stored.get());
+}
+
 TEST(ServeCache, JoinersAreDeliveredByThePublisher) {
   ResultCache cache("abc1234");
   std::shared_ptr<const JobResult> hit;
