@@ -3,8 +3,10 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/constraints.h"
 #include "core/words.h"
 #include "util/str.h"
 
@@ -14,326 +16,105 @@ namespace {
 // ---------------------------------------------------------------------------
 // Incremental evaluators
 //
-// Each evaluator keeps a stack of per-depth summaries so pop_round() is an
-// O(1) truncation; push_round() is O(n) word algebra over d[i] =
-// D(i,r).bits(). Verdicts are exact at every depth: kViolatedForever iff
-// the pushed prefix violates the predicate (which, for these zoo
-// predicates, all extensions then do too), kSatisfiedForever only when no
-// legal continuation can violate it.
+// Every predicate runs a rule through core/constraints.h's StackEvaluator,
+// so pop_round() is an O(1) truncation; push_round() is O(n) word algebra
+// over d[i] = D(i,r).bits(). Verdicts are exact at every depth:
+// kViolatedForever iff the pushed prefix violates the predicate (which,
+// for these zoo predicates, all extensions then do too),
+// kSatisfiedForever only when no legal continuation can violate it. The
+// primitives with a Heard-Of twin share their rules with ho there; the
+// rules and checks below have no twin.
 //
 // The word cores are written from the predicate's definition, NOT by
 // delegating to holds(): the conformance suites hold each one against the
 // set-algebra holds() below on every prefix.
 // ---------------------------------------------------------------------------
 
-/// Base for constraints that are a conjunction of independent per-round
-/// checks: the only state is "has any pushed round violated".
-class PerRoundEvaluator : public StepEvaluator {
- public:
-  void begin(int n, Round /*total_rounds*/) override {
-    n_ = n;
-    viol_.assign(1, 0);
-  }
+template <class Rule>
+std::unique_ptr<StepEvaluator> evaluator_of(Rule rule) {
+  return std::make_unique<StackEvaluator<Rule>>(std::move(rule));
+}
 
-  StepVerdict push_round(const std::uint64_t* d) override {
-    const bool violated = viol_.back() != 0 || violates(d);
-    viol_.push_back(violated ? 1 : 0);
-    if (violated) return StepVerdict::kViolatedForever;
-    return vacuous() ? StepVerdict::kSatisfiedForever
-                     : StepVerdict::kSatisfiedSoFar;
-  }
+template <class Check>
+std::unique_ptr<StepEvaluator> per_round(Check check) {
+  return evaluator_of(RoundLocal<Check>{std::move(check)});
+}
 
-  void pop_round() override { viol_.pop_back(); }
+/// NoSelfSuspicion(true): self-suspicion is exempt once announced, so the
+/// state is the cumulative announced set.
+struct ExemptSelfSuspicion {
+  struct State {
+    std::uint64_t announced = 0;  ///< cumulative union of the pushed rounds
+    bool violated = false;
+  };
 
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    // The only state is the sticky violated bit; vacuity is a constant
-    // of (parameters, n) and needs no bytes.
-    statekey::append_u8(out, viol_.back() != 0 ? 0xFF : 0x00);
-    return true;
-  }
-
- protected:
-  /// The per-round check: d[i] = D(i,r).bits(), n_ words.
-  virtual bool violates(const std::uint64_t* d) const = 0;
-
-  /// True when no legal round (every D a proper subset of S) can violate
-  /// the constraint; the verdict is then kSatisfiedForever.
-  virtual bool vacuous() const { return false; }
-
-  int n_ = 0;
-
- private:
-  std::vector<char> viol_;
-};
-
-class NoSelfSuspicionEvaluator final : public StepEvaluator {
- public:
-  explicit NoSelfSuspicionEvaluator(bool exempt) : exempt_(exempt) {}
-
-  void begin(int n, Round /*total_rounds*/) override {
-    n_ = n;
-    states_.clear();
-    states_.push_back({0, false});
-  }
-
-  StepVerdict push_round(const std::uint64_t* d) override {
-    const State& prev = states_.back();
+  State next(State s, const std::uint64_t* d, int n) const {
     // diag bit i <=> p_i in D(i,r); a violation is a diagonal bit outside
-    // the exemption mask (empty when !exempt_).
+    // the announced (exempt) mask.
     std::uint64_t diag = 0;
     std::uint64_t u = 0;
-    for (int i = 0; i < n_; ++i) {
+    for (int i = 0; i < n; ++i) {
       diag |= (d[i] >> i & 1) << i;
       u |= d[i];
     }
-    const std::uint64_t exempt_mask = exempt_ ? prev.announced : 0;
-    const bool violated = prev.violated || (diag & ~exempt_mask) != 0;
-    const std::uint64_t announced = prev.announced | u;
+    return {s.announced | u, s.violated || (diag & ~s.announced) != 0};
+  }
+  StepVerdict verdict(State s, int n) const {
+    if (s.violated) return StepVerdict::kViolatedForever;
     // Once everybody has been announced, every future self-suspicion is
     // exempt: the predicate can no longer be violated.
-    const bool exhausted = exempt_ && announced == full_mask(n_);
-    states_.push_back({announced, violated});
-    if (violated) return StepVerdict::kViolatedForever;
-    return exhausted ? StepVerdict::kSatisfiedForever
-                     : StepVerdict::kSatisfiedSoFar;
+    return s.announced == full_mask(n) ? StepVerdict::kSatisfiedForever
+                                       : StepVerdict::kSatisfiedSoFar;
   }
-
-  void pop_round() override { states_.pop_back(); }
-
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    // Violation is sticky, so every violated state collapses to one tag.
-    // The announced set only matters under the exemption; without it the
-    // future depends on nothing but the violated bit.
-    const State& s = states_.back();
-    if (s.violated) {
-      statekey::append_u8(out, 0xFF);
-    } else {
-      statekey::append_u8(out, 0x00);
-      if (exempt_) statekey::append_u64(out, s.announced);
-    }
-    return true;
+  void key(State s, int /*n*/, std::vector<std::uint8_t>& out) const {
+    sticky_key(s.violated, s.announced, out);
   }
-
- private:
-  struct State {
-    std::uint64_t announced;  ///< cumulative union of the pushed rounds
-    bool violated;
-  };
-  bool exempt_;
-  int n_ = 0;
-  std::vector<State> states_;
 };
 
-class CumulativeFaultBoundEvaluator final : public StepEvaluator {
- public:
-  explicit CumulativeFaultBoundEvaluator(int f) : f_(f) {}
-
-  void begin(int n, Round /*total_rounds*/) override {
-    n_ = n;
-    cums_.assign(1, 0);
-  }
-
-  StepVerdict push_round(const std::uint64_t* d) override {
-    std::uint64_t cum = cums_.back();
-    for (int i = 0; i < n_; ++i) cum |= d[i];
-    cums_.push_back(cum);
-    if (std::popcount(cum) > f_) return StepVerdict::kViolatedForever;
-    // With f >= n the bound can never be exceeded.
-    return f_ >= n_ ? StepVerdict::kSatisfiedForever
-                    : StepVerdict::kSatisfiedSoFar;
-  }
-
-  void pop_round() override { cums_.pop_back(); }
-
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    // The cumulative union only grows along a suffix, so an over-budget
-    // union is absorbing and collapses to one tag.
-    const std::uint64_t cum = cums_.back();
-    if (std::popcount(cum) > f_) {
-      statekey::append_u8(out, 0xFF);
-    } else {
-      statekey::append_u8(out, 0x00);
-      statekey::append_u64(out, cum);
-    }
-    return true;
-  }
-
- private:
-  int f_;
-  int n_ = 0;
-  std::vector<std::uint64_t> cums_;
-};
-
-class CrashMonotonicityEvaluator final : public StepEvaluator {
- public:
-  void begin(int n, Round /*total_rounds*/) override {
-    n_ = n;
-    states_.clear();
-    // Empty sentinel union: round 1 has no predecessor, and the empty set
-    // is a subset of everything, so the first check is vacuous.
-    states_.push_back({0, false});
-  }
-
-  StepVerdict push_round(const std::uint64_t* d) override {
-    const State& prev = states_.back();
-    const std::uint64_t must = prev.round_union;
-    std::uint64_t missing = 0;  // announced-last-round bits absent from some D
-    std::uint64_t u = 0;
-    for (int i = 0; i < n_; ++i) {
-      missing |= must & ~d[i];
-      u |= d[i];
-    }
-    const bool violated = prev.violated || missing != 0;
-    states_.push_back({u, violated});
-    return violated ? StepVerdict::kViolatedForever
-                    : StepVerdict::kSatisfiedSoFar;
-  }
-
-  void pop_round() override { states_.pop_back(); }
-
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    const State& s = states_.back();
-    if (s.violated) {
-      statekey::append_u8(out, 0xFF);  // sticky
-    } else {
-      statekey::append_u8(out, 0x00);
-      statekey::append_u64(out, s.round_union);
-    }
-    return true;
-  }
-
- private:
-  struct State {
-    std::uint64_t round_union;  ///< union of the most recently pushed round
-    bool violated;
-  };
-  int n_ = 0;
-  std::vector<State> states_;
-};
-
-class PerRoundFaultBoundEvaluator final : public PerRoundEvaluator {
- public:
-  explicit PerRoundFaultBoundEvaluator(int f) : f_(f) {}
-
- protected:
-  bool violates(const std::uint64_t* d) const override {
-    for (int i = 0; i < n_; ++i) {
-      if (std::popcount(d[i]) > f_) return true;
-    }
-    return false;
-  }
-  // |D| <= n-1 always (D = S is structurally excluded).
-  bool vacuous() const override { return f_ >= n_ - 1; }
-
- private:
-  int f_;
-};
-
-class SomeoneHeardByAllEvaluator final : public PerRoundEvaluator {
- protected:
-  bool violates(const std::uint64_t* d) const override {
-    std::uint64_t u = 0;
-    for (int i = 0; i < n_; ++i) u |= d[i];
-    return u == full_mask(n_);
-  }
-  bool vacuous() const override { return n_ == 1; }
-};
-
-class NoMutualMissEvaluator final : public PerRoundEvaluator {
- protected:
-  bool violates(const std::uint64_t* d) const override {
+struct NoMutualMissCheck {
+  bool ok(const std::uint64_t* d, int n) const {
     // Bit-scan row i and test the transposed bit: a mutual miss is a
     // symmetric pair (bit j of d[i], bit i of d[j]) both set.
-    for (int i = 0; i < n_; ++i) {
+    for (int i = 0; i < n; ++i) {
       for (std::uint64_t s = d[i]; s != 0; s &= s - 1) {
         const int j = std::countr_zero(s);
-        if ((d[j] >> i & 1) != 0) return true;
+        if ((d[j] >> i & 1) != 0) return false;
       }
-    }
-    return false;
-  }
-  bool vacuous() const override { return n_ == 1; }
-};
-
-class ContainmentChainEvaluator final : public PerRoundEvaluator {
- protected:
-  bool violates(const std::uint64_t* d) const override {
-    // a \subseteq b  <=>  (a & ~b) == 0; a chain is pairwise one-way
-    // containment.
-    for (int i = 0; i < n_; ++i) {
-      for (int j = i + 1; j < n_; ++j) {
-        if ((d[i] & ~d[j]) != 0 && (d[j] & ~d[i]) != 0) return true;
-      }
-    }
-    return false;
-  }
-  bool vacuous() const override { return n_ == 1; }
-};
-
-class ImmortalProcessEvaluator final : public StepEvaluator {
- public:
-  void begin(int n, Round /*total_rounds*/) override {
-    n_ = n;
-    cums_.assign(1, 0);
-  }
-
-  StepVerdict push_round(const std::uint64_t* d) override {
-    std::uint64_t cum = cums_.back();
-    for (int i = 0; i < n_; ++i) cum |= d[i];
-    cums_.push_back(cum);
-    return cum == full_mask(n_) ? StepVerdict::kViolatedForever
-                                : StepVerdict::kSatisfiedSoFar;
-  }
-
-  void pop_round() override { cums_.pop_back(); }
-
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    const std::uint64_t cum = cums_.back();
-    if (cum == full_mask(n_)) {
-      statekey::append_u8(out, 0xFF);  // everyone announced: sticky
-    } else {
-      statekey::append_u8(out, 0x00);
-      statekey::append_u64(out, cum);
     }
     return true;
   }
-
- private:
-  int n_ = 0;
-  std::vector<std::uint64_t> cums_;
+  bool vacuous(int n) const { return n == 1; }
 };
 
-class KUncertaintyEvaluator final : public PerRoundEvaluator {
- public:
-  explicit KUncertaintyEvaluator(int k) : k_(k) {}
+struct ContainmentChainCheck {
+  bool ok(const std::uint64_t* d, int n) const {
+    // a \subseteq b  <=>  (a & ~b) == 0; a chain is pairwise one-way
+    // containment.
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        if ((d[i] & ~d[j]) != 0 && (d[j] & ~d[i]) != 0) return false;
+      }
+    }
+    return true;
+  }
+  bool vacuous(int n) const { return n == 1; }
+};
 
- protected:
-  bool violates(const std::uint64_t* d) const override {
+/// KUncertainty(k); EqualAnnouncements is k = 1.
+struct UncertaintyCheck {
+  int k;
+  bool ok(const std::uint64_t* d, int n) const {
     // Disagreement = OR \ AND of the round's announcements.
     std::uint64_t any = 0;
-    std::uint64_t every = full_mask(n_);
-    for (int i = 0; i < n_; ++i) {
+    std::uint64_t every = full_mask(n);
+    for (int i = 0; i < n; ++i) {
       any |= d[i];
       every &= d[i];
     }
-    return std::popcount(any & ~every) >= k_;
+    return std::popcount(any & ~every) < k;
   }
-  // The disagreement set has at most n members.
-  bool vacuous() const override { return k_ > n_; }
-
- private:
-  int k_;
-};
-
-class EqualAnnouncementsEvaluator final : public PerRoundEvaluator {
- protected:
-  bool violates(const std::uint64_t* d) const override {
-    // XOR against the first row folds all inequality into one word.
-    std::uint64_t diff = 0;
-    for (int i = 1; i < n_; ++i) diff |= d[i] ^ d[0];
-    return diff != 0;
-  }
-  bool vacuous() const override { return n_ == 1; }
+  // At most n members disagree, and none at n = 1 (every D is empty).
+  bool vacuous(int n) const { return k > n || n == 1; }
 };
 
 bool quorum_round_ok(const RoundFaults& round, int t, int f) {
@@ -347,38 +128,21 @@ bool quorum_round_ok(const RoundFaults& round, int t, int f) {
   return oversized <= t;
 }
 
-class QuorumSkewEvaluator final : public PerRoundEvaluator {
- public:
-  QuorumSkewEvaluator(int t, int f) : t_(t), f_(f) {}
-
- protected:
-  bool violates(const std::uint64_t* d) const override {
+struct QuorumSkewCheck {
+  int t;
+  int f;
+  bool ok(const std::uint64_t* d, int n) const {
     // Same minimal-witness argument as quorum_round_ok, over popcounts.
     int oversized = 0;
-    for (int i = 0; i < n_; ++i) {
+    for (int i = 0; i < n; ++i) {
       const int sz = std::popcount(d[i]);
-      if (sz > t_) return true;
-      if (sz > f_) ++oversized;
+      if (sz > t) return false;
+      if (sz > f) ++oversized;
     }
-    return oversized > t_;
+    return oversized <= t;
   }
   // With f >= n-1 nobody is ever oversized (and t > f >= |D|).
-  bool vacuous() const override { return f_ >= n_ - 1; }
-
- private:
-  int t_;
-  int f_;
-};
-
-class NeverFaultyEvaluator final : public PerRoundEvaluator {
- protected:
-  bool violates(const std::uint64_t* d) const override {
-    std::uint64_t u = 0;
-    for (int i = 0; i < n_; ++i) u |= d[i];
-    return u != 0;
-  }
-  // n = 1: the only proper subset of S is the empty set.
-  bool vacuous() const override { return n_ == 1; }
+  bool vacuous(int n) const { return f >= n - 1; }
 };
 
 }  // namespace
@@ -414,7 +178,8 @@ bool NoSelfSuspicion::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> NoSelfSuspicion::evaluator() const {
-  return std::make_unique<NoSelfSuspicionEvaluator>(exempt_announced_);
+  if (exempt_announced_) return evaluator_of(ExemptSelfSuspicion{});
+  return per_round(SelfDelivery{});
 }
 
 // --------------------------------------------------------------------------
@@ -439,7 +204,7 @@ bool CumulativeFaultBound::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> CumulativeFaultBound::evaluator() const {
-  return std::make_unique<CumulativeFaultBoundEvaluator>(f_);
+  return evaluator_of(CumulativeCap{{f_}});
 }
 
 // --------------------------------------------------------------------------
@@ -464,7 +229,7 @@ bool CrashMonotonicity::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> CrashMonotonicity::evaluator() const {
-  return std::make_unique<CrashMonotonicityEvaluator>();
+  return evaluator_of(CrashMonotone{});
 }
 
 // --------------------------------------------------------------------------
@@ -494,7 +259,7 @@ bool PerRoundFaultBound::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> PerRoundFaultBound::evaluator() const {
-  return std::make_unique<PerRoundFaultBoundEvaluator>(f_);
+  return per_round(LossCap{f_});
 }
 
 // --------------------------------------------------------------------------
@@ -516,7 +281,7 @@ bool SomeoneHeardByAll::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> SomeoneHeardByAll::evaluator() const {
-  return std::make_unique<SomeoneHeardByAllEvaluator>();
+  return per_round(MobileCap{{1, /*all_but=*/true}});
 }
 
 // --------------------------------------------------------------------------
@@ -541,7 +306,7 @@ bool NoMutualMiss::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> NoMutualMiss::evaluator() const {
-  return std::make_unique<NoMutualMissEvaluator>();
+  return per_round(NoMutualMissCheck{});
 }
 
 // --------------------------------------------------------------------------
@@ -569,7 +334,7 @@ bool ContainmentChain::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> ContainmentChain::evaluator() const {
-  return std::make_unique<ContainmentChainEvaluator>();
+  return per_round(ContainmentChainCheck{});
 }
 
 // --------------------------------------------------------------------------
@@ -587,7 +352,7 @@ bool ImmortalProcess::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> ImmortalProcess::evaluator() const {
-  return std::make_unique<ImmortalProcessEvaluator>();
+  return evaluator_of(CumulativeCap{{1, /*all_but=*/true}});
 }
 
 // --------------------------------------------------------------------------
@@ -615,7 +380,7 @@ bool KUncertainty::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> KUncertainty::evaluator() const {
-  return std::make_unique<KUncertaintyEvaluator>(k_);
+  return per_round(UncertaintyCheck{k_});
 }
 
 // --------------------------------------------------------------------------
@@ -639,7 +404,7 @@ bool EqualAnnouncements::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> EqualAnnouncements::evaluator() const {
-  return std::make_unique<EqualAnnouncementsEvaluator>();
+  return per_round(UncertaintyCheck{1});
 }
 
 // --------------------------------------------------------------------------
@@ -667,7 +432,7 @@ bool QuorumSkew::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> QuorumSkew::evaluator() const {
-  return std::make_unique<QuorumSkewEvaluator>(t_, f_);
+  return per_round(QuorumSkewCheck{t_, f_});
 }
 
 // --------------------------------------------------------------------------
@@ -685,7 +450,7 @@ bool NeverFaulty::holds(const FaultPattern& pattern) const {
 }
 
 std::unique_ptr<StepEvaluator> NeverFaulty::evaluator() const {
-  return std::make_unique<NeverFaultyEvaluator>();
+  return per_round(MobileCap{{0}});
 }
 
 // --------------------------------------------------------------------------

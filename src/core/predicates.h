@@ -11,8 +11,11 @@
 // under renaming processes), and each provides a true incremental
 // StepEvaluator — O(n) per pushed round — so the exhaustive submodel
 // engine (core/submodel.h) can prefix-prune and symmetry-reduce its
-// enumeration. predicates_test pins evaluator verdicts against holds()
-// on every prefix.
+// enumeration. The primitives with a Heard-Of twin share one evaluator
+// with it (core/constraints.h): ImmortalProcess runs the cumulative cap
+// at n - 1, EqualAnnouncements runs KUncertainty(1), and NeverFaulty and
+// SomeoneHeardByAll run one mobile cap (0 and n - 1). predicates_test
+// pins evaluator verdicts against holds() on every prefix.
 #pragma once
 
 #include "core/predicate.h"

@@ -7,9 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/constraints.h"
 #include "core/fault_pattern.h"
 #include "core/process_set.h"
-#include "core/words.h"
 #include "ho/parse.h"
 #include "util/check.h"
 #include "util/str.h"
@@ -24,7 +24,6 @@ using core::ProcId;
 using core::Round;
 using core::RoundFaults;
 using core::StepVerdict;
-using core::full_mask;
 namespace statekey = core::statekey;
 
 // --------------------------------------------------------------------------
@@ -32,7 +31,8 @@ namespace statekey = core::statekey;
 //
 // Two independently written cores per primitive: the set core works in
 // ProcessSet algebra and serves the whole-pattern interpreter (holds()),
-// the word core in raw masks serves the incremental nodes. The
+// the word core in raw masks (SpecCheck, which shares the zoo twins'
+// checks in core/constraints.h) serves the incremental nodes. The
 // conformance suites hold the nodes against holds() on every prefix of
 // every derived model, the same regime the hand-written zoo lives under.
 // --------------------------------------------------------------------------
@@ -75,70 +75,66 @@ bool prim_ok_set(const Spec& s, const RoundFaults& round) {
   return false;
 }
 
-bool prim_ok_words(const Spec& s, const std::uint64_t* d, int n) {
-  switch (s.kind) {
-    case SpecKind::kLossCap:
-      for (int i = 0; i < n; ++i) {
-        if (std::popcount(d[i]) > s.a) return false;
-      }
-      return true;
-    case SpecKind::kMobileCap: {
-      std::uint64_t u = 0;
-      for (int i = 0; i < n; ++i) u |= d[i];
-      return std::popcount(u) <= s.a;
-    }
-    case SpecKind::kSelfDelivery:
-      for (int i = 0; i < n; ++i) {
-        if ((d[i] >> i) & 1) return false;
-      }
-      return true;
-    case SpecKind::kNoPartition: {
-      std::uint64_t u = 0;
-      for (int i = 0; i < n; ++i) u |= d[i];
-      return u != full_mask(n);
-    }
-    case SpecKind::kPartition:
-      for (std::uint64_t m = s.dst; m != 0; m &= m - 1) {
-        const int i = std::countr_zero(m);
-        if ((s.src & ~d[i]) != 0) return false;
-      }
-      return true;
-    case SpecKind::kAll:
-      for (const Spec& c : s.children) {
-        if (!prim_ok_words(c, d, n)) return false;
-      }
-      return true;
-    default:
-      break;
-  }
-  RRFD_REQUIRE_MSG(false, "prim_ok_words: spec is not round-local");
-  return false;
-}
+/// A round-local spec subtree as a core::RoundLocal check: ok() is its
+/// word core, and vacuous(n) is true iff no legal round (every D a proper
+/// subset of S) can violate it -- the licence for kSatisfiedForever.
+struct SpecCheck {
+  const Spec* spec;
 
-/// True iff no legal round (every D a proper subset of S) can violate
-/// the round-local spec -- the licence for kSatisfiedForever.
-bool prim_vacuous(const Spec& s, int n) {
-  switch (s.kind) {
-    case SpecKind::kLossCap:
-      return s.a >= n - 1;  // |D| <= n-1 because D != S
-    case SpecKind::kMobileCap:
-      return s.a >= n || n == 1;  // n == 1: every D is empty
-    case SpecKind::kSelfDelivery:
-    case SpecKind::kNoPartition:
-      return n == 1;
-    case SpecKind::kPartition:
-      return false;
-    case SpecKind::kAll:
-      for (const Spec& c : s.children) {
-        if (!prim_vacuous(c, n)) return false;
-      }
-      return true;
-    default:
-      break;
+  bool ok(const std::uint64_t* d, int n) const {
+    const Spec& s = *spec;
+    switch (s.kind) {
+      case SpecKind::kLossCap:
+        return core::LossCap{s.a}.ok(d, n);
+      case SpecKind::kMobileCap:
+        return core::MobileCap{{s.a}}.ok(d, n);
+      case SpecKind::kSelfDelivery:
+        return core::SelfDelivery{}.ok(d, n);
+      case SpecKind::kNoPartition:  // mobile(n - 1)
+        return core::MobileCap{{1, /*all_but=*/true}}.ok(d, n);
+      case SpecKind::kPartition:
+        for (std::uint64_t m = s.dst; m != 0; m &= m - 1) {
+          const int i = std::countr_zero(m);
+          if ((s.src & ~d[i]) != 0) return false;
+        }
+        return true;
+      case SpecKind::kAll:
+        for (const Spec& c : s.children) {
+          if (!SpecCheck{&c}.ok(d, n)) return false;
+        }
+        return true;
+      default:
+        break;
+    }
+    RRFD_REQUIRE_MSG(false, "SpecCheck::ok: spec is not round-local");
+    return false;
   }
-  RRFD_REQUIRE_MSG(false, "prim_vacuous: spec is not round-local");
-  return false;
-}
+
+  bool vacuous(int n) const {
+    const Spec& s = *spec;
+    switch (s.kind) {
+      case SpecKind::kLossCap:
+        return core::LossCap{s.a}.vacuous(n);
+      case SpecKind::kMobileCap:
+        return core::MobileCap{{s.a}}.vacuous(n);
+      case SpecKind::kSelfDelivery:
+        return core::SelfDelivery{}.vacuous(n);
+      case SpecKind::kNoPartition:
+        return core::MobileCap{{1, /*all_but=*/true}}.vacuous(n);
+      case SpecKind::kPartition:
+        return false;
+      case SpecKind::kAll:
+        for (const Spec& c : s.children) {
+          if (!SpecCheck{&c}.vacuous(n)) return false;
+        }
+        return true;
+      default:
+        break;
+    }
+    RRFD_REQUIRE_MSG(false, "SpecCheck::vacuous: spec is not round-local");
+    return false;
+  }
+};
 
 // --------------------------------------------------------------------------
 // Whole-pattern interpreter (holds()).
@@ -255,85 +251,59 @@ class Node {
   virtual void pop() = 0;
   virtual StepVerdict current() const = 0;
   /// Canonical state fingerprint under the StepEvaluator::state_bytes
-  /// contract (every node below implements it -- the spec algebra only
-  /// admits bounded state -- but the conservative default keeps future
-  /// nodes sound until they opt in).
-  virtual bool state_bytes(std::vector<std::uint8_t>& /*out*/) const {
-    return false;
-  }
+  /// contract; every node has one, as the spec algebra only admits
+  /// bounded state.
+  virtual bool state_bytes(std::vector<std::uint8_t>& out) const = 0;
 };
 
 std::unique_ptr<Node> build_node(const Spec& spec);
 
-/// "In every round of scope, the round-local body holds."
-class PerRoundNode final : public Node {
+/// A core rule as a node: current() reads its StackEvaluator's
+/// non-virtual verdict(), which is exact on the empty scope too (a window
+/// that has not opened reports it).
+template <class Rule>
+class RuleNode final : public Node {
  public:
-  explicit PerRoundNode(const Spec& spec) : spec_(spec) {}
+  explicit RuleNode(Rule rule) : eval_(std::move(rule)) {}
 
-  void begin(int n, Round) override {
-    n_ = n;
-    vacuous_ = prim_vacuous(spec_, n);
-    violated_.clear();
-  }
-  void push_round(const std::uint64_t* d) override {
-    const bool prev = !violated_.empty() && violated_.back() != 0;
-    violated_.push_back(
-        static_cast<char>(prev || !prim_ok_words(spec_, d, n_)));
-  }
-  void pop() override { violated_.pop_back(); }
-  StepVerdict current() const override {
-    if (!violated_.empty() && violated_.back() != 0) {
-      return StepVerdict::kViolatedForever;
-    }
-    return vacuous_ ? StepVerdict::kSatisfiedForever
-                    : StepVerdict::kSatisfiedSoFar;
-  }
+  void begin(int n, Round total) override { eval_.begin(n, total); }
+  void push_round(const std::uint64_t* d) override { eval_.push_round(d); }
+  void pop() override { eval_.pop_round(); }
+  StepVerdict current() const override { return eval_.verdict(); }
   bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    const bool violated = !violated_.empty() && violated_.back() != 0;
-    statekey::append_u8(out, violated ? 0xFF : 0x00);
-    return true;
+    return eval_.state_bytes(out);
   }
 
  private:
-  const Spec& spec_;
-  int n_ = 0;
-  bool vacuous_ = false;
-  std::vector<char> violated_;
+  core::StackEvaluator<Rule> eval_;
 };
 
-/// "Some round of scope satisfies the round-local body." Violations are
-/// not stable (a later good round repairs the prefix), which is exactly
-/// why derive_traits() strips prunability; the verdict itself stays
-/// exact at every depth.
-class EventuallyNode final : public Node {
- public:
-  explicit EventuallyNode(const Spec& body) : body_(body) {}
+template <class Rule>
+std::unique_ptr<Node> node_of(Rule rule) {
+  return std::make_unique<RuleNode<Rule>>(std::move(rule));
+}
 
-  void begin(int n, Round) override {
-    n_ = n;
-    seen_.clear();
+/// eventually(body): "some round of scope satisfies the round-local
+/// body". Violations are not stable (a later good round repairs the
+/// prefix), which is exactly why derive_traits() strips prunability; the
+/// verdict itself stays exact at every depth.
+struct Eventually {
+  struct State {
+    bool seen = false;
+  };
+  SpecCheck body;
+
+  State next(State s, const std::uint64_t* d, int n) const {
+    return {s.seen || body.ok(d, n)};
   }
-  void push_round(const std::uint64_t* d) override {
-    const bool prev = !seen_.empty() && seen_.back() != 0;
-    seen_.push_back(static_cast<char>(prev || prim_ok_words(body_, d, n_)));
-  }
-  void pop() override { seen_.pop_back(); }
-  StepVerdict current() const override {
-    const bool seen = !seen_.empty() && seen_.back() != 0;
+  StepVerdict verdict(State s, int /*n*/) const {
     // A good round can never be un-seen, so satisfaction is permanent.
-    return seen ? StepVerdict::kSatisfiedForever
-                : StepVerdict::kViolatedForever;
+    return s.seen ? StepVerdict::kSatisfiedForever
+                  : StepVerdict::kViolatedForever;
   }
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    const bool seen = !seen_.empty() && seen_.back() != 0;
-    statekey::append_u8(out, seen ? 0x01 : 0x00);
-    return true;
+  void key(State s, int /*n*/, std::vector<std::uint8_t>& out) const {
+    statekey::append_u8(out, s.seen ? 0x01 : 0x00);
   }
-
- private:
-  const Spec& body_;
-  int n_ = 0;
-  std::vector<char> seen_;
 };
 
 /// Conjunction: push into every child, combine verdicts.
@@ -495,93 +465,6 @@ class LinkBudgetNode final : public Node {
   std::vector<int> over_;               // links over budget, per depth
 };
 
-/// crash_only(): per-depth stack of (previous round's announcement
-/// union, violated-so-far); a broken adjacency stays broken.
-class CrashOnlyNode final : public Node {
- public:
-  void begin(int n, Round) override {
-    n_ = n;
-    state_.assign(1, State{0, false});
-  }
-  void push_round(const std::uint64_t* d) override {
-    const State top = state_.back();
-    bool violated = top.violated;
-    std::uint64_t next = 0;
-    for (int i = 0; i < n_; ++i) {
-      if (state_.size() > 1 && (top.prev_union & ~d[i]) != 0) violated = true;
-      next |= d[i];
-    }
-    state_.push_back(State{next, violated});
-  }
-  void pop() override { state_.pop_back(); }
-  StepVerdict current() const override {
-    return state_.back().violated ? StepVerdict::kViolatedForever
-                                  : StepVerdict::kSatisfiedSoFar;
-  }
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    const State& s = state_.back();
-    if (s.violated) {
-      statekey::append_u8(out, 0xFF);  // a broken adjacency stays broken
-      return true;
-    }
-    statekey::append_u8(out, state_.size() > 1 ? 0x01 : 0x00);
-    statekey::append_u64(out, s.prev_union);
-    return true;
-  }
-
- private:
-  struct State {
-    std::uint64_t prev_union;
-    bool violated;
-  };
-
-  int n_ = 0;
-  std::vector<State> state_;
-};
-
-/// faulty(f) / kernel(k): cumulative announcement union against a cap.
-class CumulativeCapNode final : public Node {
- public:
-  CumulativeCapNode(SpecKind kind, int value) : kind_(kind), value_(value) {}
-
-  void begin(int n, Round) override {
-    n_ = n;
-    cap_ = (kind_ == SpecKind::kFaultyCap) ? value_ : n - value_;
-    unions_.assign(1, 0);
-  }
-  void push_round(const std::uint64_t* d) override {
-    std::uint64_t u = unions_.back();
-    for (int i = 0; i < n_; ++i) u |= d[i];
-    unions_.push_back(u);
-  }
-  void pop() override { unions_.pop_back(); }
-  StepVerdict current() const override {
-    if (std::popcount(unions_.back()) > cap_) {
-      return StepVerdict::kViolatedForever;
-    }
-    // cap >= n: even the full S stays within the cap.
-    return cap_ >= n_ ? StepVerdict::kSatisfiedForever
-                      : StepVerdict::kSatisfiedSoFar;
-  }
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    const std::uint64_t u = unions_.back();
-    if (std::popcount(u) > cap_) {
-      statekey::append_u8(out, 0xFF);  // the union only grows: sticky
-    } else {
-      statekey::append_u8(out, 0x00);
-      statekey::append_u64(out, u);
-    }
-    return true;
-  }
-
- private:
-  SpecKind kind_;
-  int value_;
-  int n_ = 0;
-  int cap_ = 0;
-  std::vector<std::uint64_t> unions_;
-};
-
 /// delay(d): per-depth matrix of consecutive-drop run lengths per link.
 class DelayCapNode final : public Node {
  public:
@@ -589,29 +472,27 @@ class DelayCapNode final : public Node {
 
   void begin(int n, Round total) override {
     n_ = n;
+    links_ = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
     vacuous_ = cap_ >= total;
-    runs_.assign(
-        1, std::vector<int>(
-               static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0));
+    runs_.assign(links_, 0);
     violated_.assign(1, 0);
   }
   void push_round(const std::uint64_t* d) override {
-    const std::vector<int>& prev = runs_.back();
-    std::vector<int> next(prev.size());
+    const std::size_t prev = runs_.size() - links_;
+    runs_.resize(runs_.size() + links_);
     bool violated = violated_.back() != 0;
     for (int i = 0; i < n_; ++i) {
       for (int j = 0; j < n_; ++j) {
         const std::size_t link = link_index(n_, i, j);
-        const int run = ((d[i] >> j) & 1) != 0 ? prev[link] + 1 : 0;
-        next[link] = run;
+        const int run = ((d[i] >> j) & 1) != 0 ? runs_[prev + link] + 1 : 0;
+        runs_[prev + links_ + link] = run;
         if (run > cap_) violated = true;
       }
     }
-    runs_.push_back(std::move(next));
     violated_.push_back(static_cast<char>(violated));
   }
   void pop() override {
-    runs_.pop_back();
+    runs_.resize(runs_.size() - links_);
     violated_.pop_back();
   }
   StepVerdict current() const override {
@@ -625,8 +506,8 @@ class DelayCapNode final : public Node {
       return true;
     }
     statekey::append_u8(out, 0x00);
-    for (const int run : runs_.back()) {
-      statekey::append_u32(out, static_cast<std::uint32_t>(run));
+    for (std::size_t l = runs_.size() - links_; l < runs_.size(); ++l) {
+      statekey::append_u32(out, static_cast<std::uint32_t>(runs_[l]));
     }
     return true;
   }
@@ -634,29 +515,31 @@ class DelayCapNode final : public Node {
  private:
   int cap_;
   int n_ = 0;
+  std::size_t links_ = 0;
   bool vacuous_ = false;
-  std::vector<std::vector<int>> runs_;
+  std::vector<int> runs_;  // n * n run lengths per depth, depths in a row
   std::vector<char> violated_;
 };
 
 std::unique_ptr<Node> build_node(const Spec& spec) {
   // Any fully round-local subtree (including all() of round-locals)
   // collapses into one per-round node.
-  if (round_local(spec)) return std::make_unique<PerRoundNode>(spec);
+  if (round_local(spec)) return node_of(core::RoundLocal<SpecCheck>{{&spec}});
   switch (spec.kind) {
     case SpecKind::kAll:
       return std::make_unique<AllNode>(spec);
     case SpecKind::kWindow:
       return std::make_unique<WindowNode>(spec);
     case SpecKind::kEventually:
-      return std::make_unique<EventuallyNode>(spec.children.front());
+      return node_of(Eventually{{&spec.children.front()}});
     case SpecKind::kLinkBudget:
       return std::make_unique<LinkBudgetNode>(spec.a);
     case SpecKind::kCrashOnly:
-      return std::make_unique<CrashOnlyNode>();
+      return node_of(core::CrashMonotone{});
     case SpecKind::kFaultyCap:
     case SpecKind::kKernel:
-      return std::make_unique<CumulativeCapNode>(spec.kind, spec.a);
+      return node_of(
+          core::CumulativeCap{{spec.a, spec.kind == SpecKind::kKernel}});
     case SpecKind::kDelayCap:
       return std::make_unique<DelayCapNode>(spec.a);
     default:

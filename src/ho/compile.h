@@ -8,7 +8,9 @@
 //  - evaluator() is a tree of incremental nodes mirroring the spec, with
 //    raw-word cores per primitive written independently of holds(), so
 //    the conformance suites compare two genuinely distinct evaluations
-//    of every derived model;
+//    of every derived model. The primitives with a zoo twin (loss_cap,
+//    mobile, self_delivery, no_partition, crash_only, faulty, kernel)
+//    run the evaluator they share with the zoo (core/constraints.h);
 //  - prunable()/symmetric() come from ho::derive_traits(), i.e. from the
 //    primitives' closure properties, never from optimism. A spec
 //    containing eventually() is honestly non-prunable and the DFS

@@ -8,12 +8,11 @@
 // 3-4, before any round structure is imposed on it.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <vector>
 
 #include "core/process_set.h"
 #include "core/types.h"
+#include "msgpass/link_queues.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -25,10 +24,8 @@ class EventNet {
   /// Delivery callback: (src, dst, message).
   using Handler = std::function<void(core::ProcId, core::ProcId, const M&)>;
 
-  EventNet(int n, std::uint64_t seed) : n_(n), rng_(seed), crashed_(n) {
-    RRFD_REQUIRE(0 < n && n <= core::kMaxProcesses);
-    links_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  }
+  EventNet(int n, std::uint64_t seed)
+      : n_(n), rng_(seed), crashed_(n), links_(n) {}
 
   int n() const { return n_; }
 
@@ -37,7 +34,7 @@ class EventNet {
   void send(core::ProcId src, core::ProcId dst, M m) {
     RRFD_REQUIRE(0 <= src && src < n_ && 0 <= dst && dst < n_);
     if (crashed_.contains(src) || crashed_.contains(dst)) return;
-    link(src, dst).push_back(std::move(m));
+    links_.push(src, dst, std::move(m));
     ++sent_;
   }
 
@@ -50,20 +47,13 @@ class EventNet {
   void crash(core::ProcId p) {
     RRFD_REQUIRE(0 <= p && p < n_);
     crashed_.add(p);
-    for (core::ProcId q = 0; q < n_; ++q) {
-      link(p, q).clear();
-      link(q, p).clear();
-    }
+    links_.drop_from(p);
+    links_.drop_to(std::uint64_t{1} << p);
   }
 
   const core::ProcessSet& crashed() const { return crashed_; }
 
-  bool idle() const {
-    for (const auto& l : links_) {
-      if (!l.empty()) return false;
-    }
-    return true;
-  }
+  bool idle() const { return links_.pending() == 0; }
 
   long messages_sent() const { return sent_; }
   long messages_delivered() const { return delivered_; }
@@ -71,17 +61,13 @@ class EventNet {
   /// Delivers one pending message chosen uniformly at random among
   /// non-empty links (respecting per-link FIFO). Returns false if idle.
   bool deliver_one(const Handler& handler) {
-    std::vector<std::size_t> ready;
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-      if (!links_[l].empty()) ready.push_back(l);
-    }
-    if (ready.empty()) return false;
-    const std::size_t l =
-        ready[static_cast<std::size_t>(rng_.below(ready.size()))];
+    const int ready = links_.pending();
+    if (ready == 0) return false;
+    const std::size_t l = links_.nth(
+        static_cast<int>(rng_.below(static_cast<std::uint64_t>(ready))));
     const auto src = static_cast<core::ProcId>(l / static_cast<std::size_t>(n_));
     const auto dst = static_cast<core::ProcId>(l % static_cast<std::size_t>(n_));
-    M m = std::move(links_[l].front());
-    links_[l].pop_front();
+    M m = links_.pop(l);
     ++delivered_;
     handler(src, dst, m);
     return true;
@@ -96,15 +82,10 @@ class EventNet {
   }
 
  private:
-  std::deque<M>& link(core::ProcId src, core::ProcId dst) {
-    return links_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n_) +
-                  static_cast<std::size_t>(dst)];
-  }
-
   int n_;
   Rng rng_;
-  core::ProcessSet crashed_;
-  std::vector<std::deque<M>> links_;
+  core::ProcessSet crashed_;  // validates n before links_ sizes by it
+  LinkQueues<M> links_;
   long sent_ = 0;
   long delivered_ = 0;
 };

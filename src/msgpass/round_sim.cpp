@@ -1,7 +1,6 @@
 #include "msgpass/round_sim.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "core/words.h"
@@ -16,12 +15,9 @@ constexpr auto kSub = trace::Substrate::kMsgpass;
 }  // namespace
 
 RoundEnforcedSim::RoundEnforcedSim(int n, int f, std::uint64_t seed)
-    : n_(n), f_(f), rng_(seed), crashed_(n) {
-  RRFD_REQUIRE(0 < n && n <= core::kMaxProcesses);
+    : n_(n), f_(f), rng_(seed), crashed_(n), links_(n) {
   RRFD_REQUIRE(0 <= f && f < n);
   procs_.assign(static_cast<std::size_t>(n), ProcState(n));
-  links_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  pending_dst_.assign(static_cast<std::size_t>(n), 0);
 }
 
 void RoundEnforcedSim::add_crash(const CrashPlan& plan) {
@@ -93,14 +89,7 @@ void RoundEnforcedSim::broadcast(ProcId src, Round r, std::uint64_t payload) {
     }
   }
 
-  std::uint64_t sent = 0;
-  for (ProcId d : dests) {
-    links_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(d)]
-        .push_back(Event{src, d, r, payload});
-    sent |= std::uint64_t{1} << d;
-  }
-  pending_dst_[static_cast<std::size_t>(src)] |= sent;
+  for (ProcId d : dests) links_.push(src, d, Event{src, d, r, payload});
 }
 
 void RoundEnforcedSim::enter_round(ProcId i, Round r, RoundProtocol& protocol) {
@@ -176,16 +165,14 @@ std::string RoundEnforcedSim::state_report() const {
        << " buffered_rounds=" << st.pending.size()
        << (st.finished ? " finished" : " waiting");
   }
-  std::size_t pending_links = 0;
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    if (links_[l].empty()) continue;
-    ++pending_links;
+  for (std::size_t l = 0; l < links_.links(); ++l) {
+    if (!links_.ready(l)) continue;
     const auto src = static_cast<ProcId>(l / static_cast<std::size_t>(n_));
     const auto dst = static_cast<ProcId>(l % static_cast<std::size_t>(n_));
-    os << "\n  link p" << src << "->p" << dst << ": " << links_[l].size()
+    os << "\n  link p" << src << "->p" << dst << ": " << links_.queued(l)
        << " pending";
   }
-  os << "\n  non-empty links: " << pending_links << " of " << links_.size();
+  os << "\n  non-empty links: " << links_.pending() << " of " << links_.links();
   return os.str();
 }
 
@@ -220,11 +207,8 @@ FaultPattern RoundEnforcedSim::run(RoundProtocol& protocol, Round rounds) {
   for (ProcId i = 0; i < n_; ++i) enter_round(i, 1, protocol);
 
   // Event loop: deliver pending messages in random order (per-link FIFO)
-  // until every alive process has finished its rounds. Deliverable links
-  // are tracked as per-src destination words; the k-th ready link (in
-  // ascending src * n + dst order, exactly the order the old ready-vector
-  // scan produced) is found with popcount/bit-select instead of
-  // rebuilding an O(n^2) index vector per event.
+  // until every alive process has finished its rounds; LinkQueues picks
+  // the k-th ready link from its per-source masks.
   for (;;) {
     std::uint64_t finished = 0;
     for (ProcId i = 0; i < n_; ++i) {
@@ -234,19 +218,8 @@ FaultPattern RoundEnforcedSim::run(RoundProtocol& protocol, Round rounds) {
     }
     if (finished == core::full_mask(n_)) break;
 
-    int ready_count = 0;
-    for (ProcId src = 0; src < n_; ++src) {
-      std::uint64_t& pending = pending_dst_[static_cast<std::size_t>(src)];
-      // Destinations that finished evaporate their queued messages.
-      for (std::uint64_t evap = pending & finished; evap != 0;
-           evap &= evap - 1) {
-        links_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n_) +
-               static_cast<std::size_t>(std::countr_zero(evap))]
-            .clear();
-      }
-      pending &= ~finished;
-      ready_count += std::popcount(pending);
-    }
+    // Destinations that finished evaporate their queued messages.
+    const int ready_count = links_.drop_to(finished);
     if (ready_count == 0) {
       // No deliverable messages but some process is still waiting: can only
       // happen if more than f processes crashed, which add_crash prevents.
@@ -258,34 +231,15 @@ FaultPattern RoundEnforcedSim::run(RoundProtocol& protocol, Round rounds) {
       RRFD_REQUIRE_MSG(replay_next_ < replay_links_.size(),
                        "replay script exhausted while deliveries remain");
       link = replay_links_[replay_next_++];
-      RRFD_ENSURE_MSG(
-          link < links_.size() &&
-              (pending_dst_[link / static_cast<std::size_t>(n_)] >>
-                   (link % static_cast<std::size_t>(n_)) &
-               1) != 0,
-          cat("replayed link choice ", link,
-              " is not deliverable at this point\n", state_report()));
+      RRFD_ENSURE_MSG(links_.ready(link),
+                      cat("replayed link choice ", link,
+                          " is not deliverable at this point\n",
+                          state_report()));
     } else {
-      int k = static_cast<int>(
-          rng_.below(static_cast<std::uint64_t>(ready_count)));
-      ProcId src = 0;
-      for (;; ++src) {
-        const int c =
-            std::popcount(pending_dst_[static_cast<std::size_t>(src)]);
-        if (k < c) break;
-        k -= c;
-      }
-      link =
-          static_cast<std::size_t>(src) * static_cast<std::size_t>(n_) +
-          static_cast<std::size_t>(core::nth_set_bit(
-              pending_dst_[static_cast<std::size_t>(src)], k));
+      link = links_.nth(static_cast<int>(
+          rng_.below(static_cast<std::uint64_t>(ready_count))));
     }
-    Event ev = links_[link].front();
-    links_[link].pop_front();
-    if (links_[link].empty()) {
-      pending_dst_[link / static_cast<std::size_t>(n_)] &=
-          ~(std::uint64_t{1} << (link % static_cast<std::size_t>(n_)));
-    }
+    const Event ev = links_.pop(link);
     trace::record(trace::EventKind::kSchedChoice, kSub, ev.dst, ev.round,
                   static_cast<std::uint64_t>(link));
     accept(ev.dst, ev.round, ev.src, ev.payload, protocol);

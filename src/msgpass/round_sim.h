@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -25,6 +24,7 @@
 
 #include "core/fault_pattern.h"
 #include "core/process_set.h"
+#include "msgpass/link_queues.h"
 #include "util/rng.h"
 
 namespace rrfd::msgpass {
@@ -140,13 +140,9 @@ class RoundEnforcedSim {
   std::size_t replay_next_ = 0;
   std::vector<std::pair<ProcId, std::uint64_t>> replay_crash_dests_;
   std::vector<ProcState> procs_;
-  std::vector<std::deque<Event>> links_;  // index src * n + dst, FIFO
-  /// pending_dst_[src] bit d <=> links_[src * n + d] is non-empty. The
-  /// event loop picks the k-th deliverable link from these words instead
-  /// of rebuilding an O(n^2) vector of ready link indices per event.
-  std::vector<std::uint64_t> pending_dst_;
   std::vector<CrashPlan> crash_plans_;
-  ProcessSet crashed_;
+  ProcessSet crashed_;  // validates n before links_ sizes by it
+  LinkQueues<Event> links_;
   std::vector<std::vector<ProcessSet>> fault_sets_;  // [round][proc]
   RoundProtocol* protocol_ = nullptr;
 };

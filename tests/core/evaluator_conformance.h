@@ -29,9 +29,9 @@ struct NamedPredicate {
 };
 
 /// Every zoo factory, parameterized so each is satisfiable at size n.
-/// Together these instantiate all twelve evaluator cores (the factories
-/// compose NeverFaulty and ImmortalProcess, which have no standalone
-/// factory of their own).
+/// Together these instantiate every evaluator rule of the zoo. No factory
+/// composes NeverFaulty; it runs the mobile cap that SomeoneHeardByAll
+/// runs at n - 1, so its own case is cap 0 (tested with it directly).
 inline std::vector<NamedPredicate> zoo(int n) {
   const int f = n > 2 ? n / 2 : 1;
   std::vector<NamedPredicate> out;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predicates.h"
@@ -287,6 +288,55 @@ TEST(HoSubmodelRecovery, SweepExecutorDecidesRecoveries) {
   EXPECT_EQ(serial.forward.stats.nodes, threaded.forward.stats.nodes);
 }
 
+TEST(HoSubmodelRecovery, TwinsAgreeOnHoldsOverEveryPattern) {
+  // The zoo predicates and their Heard-Of twins share one incremental
+  // evaluator, so an equivalence decided by the engine is no evidence
+  // that the two definitions agree. Their holds() share no code: compare
+  // them directly on every pattern, with no evaluator involved.
+  struct Twin {
+    core::PredicatePtr zoo;
+    core::PredicatePtr other;
+  };
+  for (const auto& [n, rounds] :
+       std::vector<std::pair<int, Round>>{{2, 3}, {3, 2}, {4, 1}}) {
+    const std::vector<Twin> twins = {
+        {std::make_shared<core::PerRoundFaultBound>(1),
+         ho::compile_text("loss_cap(1)")},
+        {std::make_shared<core::CumulativeFaultBound>(1),
+         ho::compile_text("faulty(1)")},
+        {std::make_shared<core::ImmortalProcess>(),
+         ho::compile_text("kernel(1)")},
+        {std::make_shared<core::CrashMonotonicity>(),
+         ho::compile_text("crash_only()")},
+        {std::make_shared<core::SomeoneHeardByAll>(),
+         ho::compile_text("no_partition()")},
+        {std::make_shared<core::SomeoneHeardByAll>(),
+         ho::compile(ho::mobile(n - 1))},
+        {std::make_shared<core::NoSelfSuspicion>(false),
+         ho::compile_text("self_delivery()")},
+        {std::make_shared<core::NeverFaulty>(), ho::compile_text("mobile(0)")},
+        {std::make_shared<core::EqualAnnouncements>(),
+         std::make_shared<core::KUncertainty>(1)},
+        {std::make_shared<core::ImmortalProcess>(),
+         std::make_shared<core::CumulativeFaultBound>(n - 1)},
+    };
+    std::vector<std::int64_t> disagreements(twins.size(), 0);
+    core::enumerate_patterns(n, rounds, [&](const FaultPattern& p) {
+      for (std::size_t t = 0; t < twins.size(); ++t) {
+        if (twins[t].zoo->holds(p) != twins[t].other->holds(p)) {
+          ++disagreements[t];
+        }
+      }
+      return true;
+    });
+    for (std::size_t t = 0; t < twins.size(); ++t) {
+      EXPECT_EQ(disagreements[t], 0)
+          << twins[t].zoo->name() << " vs " << twins[t].other->name()
+          << " at n=" << n << ", rounds=" << rounds;
+    }
+  }
+}
+
 TEST(HoSubmodelRecovery, EventuallyDescendsThroughViolatedPrefixes) {
   // eventually() is honestly non-prunable: the only counterexamples to
   // "eventually-quiet implies never-faulty" have their noisy round
@@ -335,6 +385,63 @@ TEST(HoCatalog, PlacementFindsTheRecoveredZooModels) {
     }
   }
   EXPECT_TRUE(saw_async);
+}
+
+/// One row per reference_zoo() model; cell c is '1' iff the row's
+/// predicate implies column c's, decided exactly at (n, rounds).
+std::vector<std::string> zoo_lattice(int n, Round rounds) {
+  const auto zoo = ho::reference_zoo();
+  std::vector<std::string> rows;
+  for (const auto& row : zoo) {
+    std::string cells;
+    for (const auto& col : zoo) {
+      cells += core::implies_exhaustive(*row.pred, *col.pred, n, rounds).holds
+                   ? '1'
+                   : '0';
+    }
+    rows.push_back(cells);
+  }
+  return rows;
+}
+
+TEST(HoCatalog, GoldenZooLatticeE13AndE13c) {
+  // Rows and columns in reference_zoo() order: omission(1), crash(1),
+  // async(1), swmr(1), snapshot(1), S, 2-uncertainty, equal-D, skew(2,1).
+  // The same matrix holds at n = 3 and n = 4 (bench_lattice E13, E13c).
+  const std::vector<std::string> golden = {
+      "111111101", "111111101", "001000001", "001101001", "111111101",
+      "000001000", "000001100", "000001110", "000000001",
+  };
+  EXPECT_EQ(zoo_lattice(3, 1), golden);
+  EXPECT_EQ(zoo_lattice(4, 1), golden);
+}
+
+TEST(HoCatalog, GoldenPlacementMatrixE19) {
+  // bench_lattice E19 at n = 3, 2 rounds: catalog rows against the
+  // reference zoo, '=' equivalent, '<' strict submodel, '>' strict
+  // supermodel, '#' incomparable.
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"ho-async(1)", ">>=>>###<"},
+      {"ho-omission(1)", "=#<<<<<#<"},
+      {"ho-swmr(1)", ">><=>###<"},
+      {"ho-detector-S", ">>##>=###"},
+      {"ho-mobile(1)", ">><<><<#<"},
+      {"ho-link-budget(1)", "#########"},
+      {"ho-delay(1)", "#########"},
+      {"ho-crash-tail", ">>>>>>>>>"},
+      {"ho-eventually-quiet", "#########"},
+      {"ho-partition(0|12)", "#########"},
+  };
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (const auto& entry : ho::standard_catalog()) {
+    std::string cells;
+    for (const ho::Placement& p : ho::place_in_zoo(*entry.pred, 3, 2)) {
+      cells += p.implies ? (p.implied_by ? '=' : '<')
+                         : (p.implied_by ? '>' : '#');
+    }
+    rows.emplace_back(entry.name, cells);
+  }
+  EXPECT_EQ(rows, golden);
 }
 
 TEST(HoCatalog, PlacementHonorsEnumOptions) {

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../core/evaluator_conformance.h"
 #include "core/fault_pattern.h"
 #include "core/predicate.h"
+#include "core/predicates.h"
 #include "core/process_set.h"
 #include "core/words.h"
 #include "ho/catalog.h"
@@ -90,6 +93,49 @@ TEST(HoConformance, DeepWindowsConformOverLongPatterns) {
         std::string("all(window(2,4,delay(1)),window(5,0,crash_only()))")}) {
     const auto pred = ho::compile_text(spec);
     core::check_evaluator_conformance(*pred, 2, 5);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Licences: the kSatisfiedForever verdicts the shared evaluators grant.
+// --------------------------------------------------------------------------
+
+TEST(HoConformance, TwinsPromiseForeverAtOneProcess) {
+  // At n = 1 the only legal D is the empty set, so no round can violate
+  // self-delivery or equal announcements: both twins of each pair must
+  // say so from the first round on.
+  const std::vector<core::PredicatePtr> preds = {
+      std::make_shared<core::NoSelfSuspicion>(false),
+      ho::compile_text("self_delivery()"),
+      std::make_shared<core::EqualAnnouncements>(),
+      std::make_shared<core::KUncertainty>(1),
+  };
+  const std::uint64_t quiet = 0;
+  for (const auto& pred : preds) {
+    auto eval = pred->evaluator();
+    eval->begin(1, 2);
+    EXPECT_EQ(eval->push_round(&quiet), StepVerdict::kSatisfiedForever)
+        << pred->name();
+  }
+}
+
+TEST(HoConformance, UnopenedWindowsReportTheirChildsEmptyScope) {
+  // Before a window opens, its verdict is the child's on the empty scope:
+  // a vacuous cap promises forever from depth 1, crash_only() does not.
+  const std::vector<std::pair<std::string, StepVerdict>> cases = {
+      {"window(3,0,faulty(5))", StepVerdict::kSatisfiedForever},
+      {"window(3,0,loss_cap(2))", StepVerdict::kSatisfiedForever},
+      {"window(2,0,crash_only())", StepVerdict::kSatisfiedSoFar},
+  };
+  const std::vector<std::uint64_t> quiet(3, 0);
+  for (const auto& [spec, expected] : cases) {
+    const auto pred = ho::compile_text(spec);
+    auto eval = pred->evaluator();
+    eval->begin(3, 4);
+    for (int depth = 1; depth <= 4; ++depth) {
+      EXPECT_EQ(eval->push_round(quiet.data()), expected)
+          << spec << " at depth " << depth;
+    }
   }
 }
 

@@ -62,6 +62,13 @@ struct GoldenCase {
   fs::path expected;
 };
 
+// ctest names a parameterized case after its printed parameter. The
+// default printer dumps the struct's bytes, heap pointers included, which
+// renamed every case on every build; print the fixture file instead.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.fixture.filename().string();
+}
+
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   for (const auto& entry : fs::directory_iterator(RRFD_LINT_GOLDEN_DIR)) {

@@ -2,6 +2,10 @@
 #include "msgpass/abd.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
 #include "util/str.h"
 
 namespace rrfd::msgpass {
@@ -45,6 +49,49 @@ TEST(EventNet, BroadcastIncludesSelf) {
   }
   EXPECT_EQ(count, 3);
   EXPECT_TRUE(dsts.full());
+}
+
+TEST(EventNet, SeededDeliveryOrderIsPinned) {
+  // Every process broadcasts; each delivery of a payload below 40 sends
+  // one follow-up back to its source, and one process crashes mid-run
+  // with traffic in flight. The FNV-1a digest of the (src, dst, payload)
+  // sequence pins the seeded link choice, so a rewrite of the pick that
+  // consumes the RNG differently fails here.
+  struct Case {
+    int n;
+    std::uint64_t seed;
+    std::uint64_t digest;
+    long delivered;
+  };
+  const std::vector<Case> golden = {
+      {3, 1, 15636886351706583346ull, 26},
+      {5, 7, 16225632219627110973ull, 75},
+      {8, 42, 10637505295046533672ull, 166},
+  };
+  for (const Case& c : golden) {
+    EventNet<int> net(c.n, c.seed);
+    for (core::ProcId p = 0; p < c.n; ++p) net.broadcast(p, 10 * p);
+    std::uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](std::uint64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xFF;
+        h *= 1099511628211ull;
+      }
+    };
+    const auto handler = [&](core::ProcId src, core::ProcId dst,
+                             const int& m) {
+      mix(static_cast<std::uint64_t>(src));
+      mix(static_cast<std::uint64_t>(dst));
+      mix(static_cast<std::uint64_t>(m));
+      if (m < 40) net.send(dst, src, m + 7);
+    };
+    long delivered = net.run_until_idle(handler, 3L * c.n);
+    net.crash(c.n / 2);
+    delivered += net.run_until_idle(handler);
+    EXPECT_TRUE(net.idle());
+    EXPECT_EQ(h, c.digest) << "n=" << c.n << " seed=" << c.seed;
+    EXPECT_EQ(delivered, c.delivered) << "n=" << c.n << " seed=" << c.seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
