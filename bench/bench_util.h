@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "sweep/sweep.h"
+#include "util/json.h"
 #include "util/str.h"
 
 namespace rrfd::bench {
@@ -114,28 +115,6 @@ struct ResultRecord {
 };
 
 namespace detail {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 inline std::string json_number(double v) {
   // JSON has no NaN/Inf; clamp to null-ish zero rather than emit garbage.
@@ -225,28 +204,28 @@ inline void write_results_json(const std::string& experiment,
   const char* label_env = std::getenv("RRFD_BENCH_LABEL");
 
   std::ostringstream os;
-  os << "{\"experiment\":\"" << detail::json_escape(experiment) << "\""
-     << ",\"git_rev\":\"" << detail::json_escape(RRFD_GIT_REV) << "\"";
+  os << "{\"experiment\":\"" << json_escape(experiment) << "\""
+     << ",\"git_rev\":\"" << json_escape(RRFD_GIT_REV) << "\"";
   // `label` is always present (empty when RRFD_BENCH_LABEL is unset):
   // downstream diffing tools key rows on it, and a sometimes-missing
   // field made "unlabeled" indistinguishable from "written by an old
   // binary". The bench-smoke validator rejects label-less rows.
   os << ",\"label\":\""
-     << detail::json_escape(label_env ? label_env : "") << "\"";
+     << json_escape(label_env ? label_env : "") << "\"";
   os << ",\"results\":[";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ResultRecord& r = records[i];
     if (i > 0) os << ',';
-    os << "{\"name\":\"" << detail::json_escape(r.name) << "\""
+    os << "{\"name\":\"" << json_escape(r.name) << "\""
        << ",\"iterations\":" << r.iterations
        << ",\"real_per_op\":" << detail::json_number(r.real_per_op)
        << ",\"cpu_per_op\":" << detail::json_number(r.cpu_per_op)
-       << ",\"time_unit\":\"" << detail::json_escape(r.time_unit) << "\"";
+       << ",\"time_unit\":\"" << json_escape(r.time_unit) << "\"";
     if (!r.counters.empty()) {
       os << ",\"counters\":{";
       for (std::size_t c = 0; c < r.counters.size(); ++c) {
         if (c > 0) os << ',';
-        os << "\"" << detail::json_escape(r.counters[c].first)
+        os << "\"" << json_escape(r.counters[c].first)
            << "\":" << detail::json_number(r.counters[c].second);
       }
       os << '}';

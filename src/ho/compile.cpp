@@ -77,12 +77,16 @@ bool prim_ok_set(const Spec& s, const RoundFaults& round) {
 
 /// A round-local spec subtree as a core::RoundLocal check: ok() is its
 /// word core, and vacuous(n) is true iff no legal round (every D a proper
-/// subset of S) can violate it -- the licence for kSatisfiedForever.
+/// subset of S) can violate it -- the licence for kSatisfiedForever. The
+/// check owns a copy of its subtree, as every node owns what it reads, so
+/// an evaluator may outlive the predicate that made it.
 struct SpecCheck {
-  const Spec* spec;
+  Spec spec;
 
-  bool ok(const std::uint64_t* d, int n) const {
-    const Spec& s = *spec;
+  bool ok(const std::uint64_t* d, int n) const { return ok(spec, d, n); }
+  bool vacuous(int n) const { return vacuous(spec, n); }
+
+  static bool ok(const Spec& s, const std::uint64_t* d, int n) {
     switch (s.kind) {
       case SpecKind::kLossCap:
         return core::LossCap{s.a}.ok(d, n);
@@ -100,7 +104,7 @@ struct SpecCheck {
         return true;
       case SpecKind::kAll:
         for (const Spec& c : s.children) {
-          if (!SpecCheck{&c}.ok(d, n)) return false;
+          if (!ok(c, d, n)) return false;
         }
         return true;
       default:
@@ -110,8 +114,7 @@ struct SpecCheck {
     return false;
   }
 
-  bool vacuous(int n) const {
-    const Spec& s = *spec;
+  static bool vacuous(const Spec& s, int n) {
     switch (s.kind) {
       case SpecKind::kLossCap:
         return core::LossCap{s.a}.vacuous(n);
@@ -125,7 +128,7 @@ struct SpecCheck {
         return false;
       case SpecKind::kAll:
         for (const Spec& c : s.children) {
-          if (!SpecCheck{&c}.vacuous(n)) return false;
+          if (!vacuous(c, n)) return false;
         }
         return true;
       default:
@@ -398,101 +401,40 @@ class WindowNode final : public Node {
   Round depth_ = 0;
 };
 
-/// link_budget(c): per-link drop counters with an over-budget tally;
-/// pop() undoes a push from the recorded round words.
-class LinkBudgetNode final : public Node {
+/// link_budget(c) and delay(d): one drop count per ordered link, against
+/// a cap. A delay count is the link's current run of consecutive drops,
+/// so a delivered round resets it; a budget count never resets. The
+/// counts are kept per depth, n * n of them, depths in a row.
+class DropCountNode final : public Node {
  public:
-  explicit LinkBudgetNode(int budget) : budget_(budget) {}
-
-  void begin(int n, Round total) override {
-    n_ = n;
-    vacuous_ = budget_ >= total;  // each link drops at most once per round
-    drops_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                  0);
-    history_.clear();
-    over_.assign(1, 0);
-  }
-  void push_round(const std::uint64_t* d) override {
-    const std::size_t base = history_.size();
-    history_.resize(base + static_cast<std::size_t>(n_));
-    int over = over_.back();
-    for (int i = 0; i < n_; ++i) {
-      history_[base + static_cast<std::size_t>(i)] = d[i];
-      for (std::uint64_t m = d[i]; m != 0; m &= m - 1) {
-        const int j = std::countr_zero(m);
-        if (++drops_[link_index(n_, i, j)] == budget_ + 1) ++over;
-      }
-    }
-    over_.push_back(over);
-  }
-  void pop() override {
-    const std::size_t base = history_.size() - static_cast<std::size_t>(n_);
-    for (int i = 0; i < n_; ++i) {
-      for (std::uint64_t m = history_[base + static_cast<std::size_t>(i)];
-           m != 0; m &= m - 1) {
-        --drops_[link_index(n_, i, std::countr_zero(m))];
-      }
-    }
-    history_.resize(base);
-    over_.pop_back();
-  }
-  StepVerdict current() const override {
-    if (over_.back() > 0) return StepVerdict::kViolatedForever;
-    return vacuous_ ? StepVerdict::kSatisfiedForever
-                    : StepVerdict::kSatisfiedSoFar;
-  }
-  bool state_bytes(std::vector<std::uint8_t>& out) const override {
-    // An over-budget link can only stay over along a suffix: absorbing.
-    // Otherwise the full drop matrix is the state (each count is at most
-    // the budget here, but future drops depend on the exact values).
-    if (over_.back() > 0) {
-      statekey::append_u8(out, 0xFF);
-      return true;
-    }
-    statekey::append_u8(out, 0x00);
-    for (const int drops : drops_) {
-      statekey::append_u32(out, static_cast<std::uint32_t>(drops));
-    }
-    return true;
-  }
-
- private:
-  int budget_;
-  int n_ = 0;
-  bool vacuous_ = false;
-  std::vector<int> drops_;
-  std::vector<std::uint64_t> history_;  // n pushed words per depth
-  std::vector<int> over_;               // links over budget, per depth
-};
-
-/// delay(d): per-depth matrix of consecutive-drop run lengths per link.
-class DelayCapNode final : public Node {
- public:
-  explicit DelayCapNode(int cap) : cap_(cap) {}
+  DropCountNode(int cap, bool resets) : cap_(cap), resets_(resets) {}
 
   void begin(int n, Round total) override {
     n_ = n;
     links_ = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-    vacuous_ = cap_ >= total;
-    runs_.assign(links_, 0);
+    vacuous_ = cap_ >= total;  // a count grows by at most one per round
+    counts_.assign(links_, 0);
     violated_.assign(1, 0);
   }
   void push_round(const std::uint64_t* d) override {
-    const std::size_t prev = runs_.size() - links_;
-    runs_.resize(runs_.size() + links_);
+    const std::size_t prev = counts_.size() - links_;
+    counts_.resize(counts_.size() + links_);
     bool violated = violated_.back() != 0;
     for (int i = 0; i < n_; ++i) {
       for (int j = 0; j < n_; ++j) {
         const std::size_t link = link_index(n_, i, j);
-        const int run = ((d[i] >> j) & 1) != 0 ? runs_[prev + link] + 1 : 0;
-        runs_[prev + links_ + link] = run;
-        if (run > cap_) violated = true;
+        const int last = counts_[prev + link];
+        const int count = ((d[i] >> j) & 1) != 0 ? last + 1
+                          : resets_              ? 0
+                                                 : last;
+        counts_[prev + links_ + link] = count;
+        if (count > cap_) violated = true;
       }
     }
     violated_.push_back(static_cast<char>(violated));
   }
   void pop() override {
-    runs_.resize(runs_.size() - links_);
+    counts_.resize(counts_.size() - links_);
     violated_.pop_back();
   }
   StepVerdict current() const override {
@@ -501,39 +443,42 @@ class DelayCapNode final : public Node {
                     : StepVerdict::kSatisfiedSoFar;
   }
   bool state_bytes(std::vector<std::uint8_t>& out) const override {
+    // A count over the cap is permanent (a run already exceeded, or drops
+    // already spent): absorbing. Otherwise the counts are the state.
     if (violated_.back() != 0) {
-      statekey::append_u8(out, 0xFF);  // an exceeded run is permanent
+      statekey::append_u8(out, 0xFF);
       return true;
     }
     statekey::append_u8(out, 0x00);
-    for (std::size_t l = runs_.size() - links_; l < runs_.size(); ++l) {
-      statekey::append_u32(out, static_cast<std::uint32_t>(runs_[l]));
+    for (std::size_t l = counts_.size() - links_; l < counts_.size(); ++l) {
+      statekey::append_u32(out, static_cast<std::uint32_t>(counts_[l]));
     }
     return true;
   }
 
  private:
   int cap_;
+  bool resets_;
   int n_ = 0;
   std::size_t links_ = 0;
   bool vacuous_ = false;
-  std::vector<int> runs_;  // n * n run lengths per depth, depths in a row
+  std::vector<int> counts_;
   std::vector<char> violated_;
 };
 
 std::unique_ptr<Node> build_node(const Spec& spec) {
   // Any fully round-local subtree (including all() of round-locals)
   // collapses into one per-round node.
-  if (round_local(spec)) return node_of(core::RoundLocal<SpecCheck>{{&spec}});
+  if (round_local(spec)) return node_of(core::RoundLocal<SpecCheck>{{spec}});
   switch (spec.kind) {
     case SpecKind::kAll:
       return std::make_unique<AllNode>(spec);
     case SpecKind::kWindow:
       return std::make_unique<WindowNode>(spec);
     case SpecKind::kEventually:
-      return node_of(Eventually{{&spec.children.front()}});
+      return node_of(Eventually{{spec.children.front()}});
     case SpecKind::kLinkBudget:
-      return std::make_unique<LinkBudgetNode>(spec.a);
+      return std::make_unique<DropCountNode>(spec.a, /*resets=*/false);
     case SpecKind::kCrashOnly:
       return node_of(core::CrashMonotone{});
     case SpecKind::kFaultyCap:
@@ -541,7 +486,7 @@ std::unique_ptr<Node> build_node(const Spec& spec) {
       return node_of(
           core::CumulativeCap{{spec.a, spec.kind == SpecKind::kKernel}});
     case SpecKind::kDelayCap:
-      return std::make_unique<DelayCapNode>(spec.a);
+      return std::make_unique<DropCountNode>(spec.a, /*resets=*/true);
     default:
       break;
   }
@@ -594,9 +539,6 @@ class HoPredicate final : public core::Predicate {
     return holds_range(spec_, pattern, 1, pattern.rounds());
   }
   std::unique_ptr<core::StepEvaluator> evaluator() const override {
-    // The nodes hold a reference into spec_; the evaluator must not
-    // outlive the predicate (same lifetime rule as AndEvaluator's
-    // borrowed parts).
     return std::make_unique<HoEvaluator>(spec_, max_id_);
   }
   bool prunable() const override { return traits_.prunable; }

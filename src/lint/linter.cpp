@@ -6,6 +6,9 @@
 #include <sstream>
 #include <string>
 
+#include "util/json.h"
+#include "util/str.h"
+
 namespace rrfd::lint {
 namespace {
 
@@ -118,14 +121,6 @@ std::vector<Suppression> parse_suppressions(
   return result;
 }
 
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t h) {
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string normalize_ws(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -148,29 +143,6 @@ std::string hex16(std::uint64_t v) {
   return out;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kDigits = "0123456789abcdef";
-          out += "\\u00";
-          out += kDigits[(c >> 4) & 0xf];
-          out += kDigits[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void append_finding_json(std::ostringstream& os, const Finding& f,
                          std::string_view status) {
   os << "{\"schema\":\"rrfd-lint-v1\",\"kind\":\"finding\",\"rule\":\""
@@ -184,13 +156,7 @@ void append_finding_json(std::ostringstream& os, const Finding& f,
 }  // namespace
 
 std::uint64_t finding_fingerprint(const Finding& f) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a64(f.rule, h);
-  h = fnv1a64("|", h);
-  h = fnv1a64(f.path, h);
-  h = fnv1a64("|", h);
-  h = fnv1a64(normalize_ws(f.snippet), h);
-  return h;
+  return fnv1a(cat(f.rule, "|", f.path, "|", normalize_ws(f.snippet)));
 }
 
 std::string baseline_entry(const Finding& f) {
@@ -402,9 +368,9 @@ std::string render_sarif(const RunResult& result) {
   for (const Rule* rule : all_rules()) {
     if (!first) os << ",";
     first = false;
-    os << "{\"id\":\"" << json_escape(std::string(rule->name()))
+    os << "{\"id\":\"" << json_escape(rule->name())
        << "\",\"shortDescription\":{\"text\":\""
-       << json_escape(std::string(rule->description())) << "\"}}";
+       << json_escape(rule->description()) << "\"}}";
   }
   os << ",{\"id\":\"" << kBadSuppressionRule
      << "\",\"shortDescription\":{\"text\":\"defective or unused "

@@ -1,10 +1,7 @@
 #include "serve/wire.h"
 
-#include <cctype>
-#include <limits>
-#include <map>
-#include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +9,7 @@
 #include "ho/spec.h"
 #include "trace/trace.h"
 #include "util/check.h"
+#include "util/json.h"
 #include "util/str.h"
 
 namespace rrfd::serve {
@@ -28,180 +26,80 @@ constexpr const char* kErrorNames[] = {
   throw WireError(code, detail);
 }
 
-/// One parsed field value: a string or a non-negative integer. The
-/// protocol has no floats, booleans, nulls, arrays, or nested objects --
-/// anything else on a request line is a parse_error by design.
-struct Value {
+/// One field of a request: its key, its value (a string or a
+/// non-negative integer -- the protocol has no floats, booleans, nulls,
+/// arrays or nested objects), and whether the grammar has read it.
+struct Field {
+  std::string key;
   bool is_string = false;
   std::string str;
   std::uint64_t num = 0;
+  bool taken = false;
 };
 
-/// Strict scanner for one flat request object. Mirrors the trace
-/// parser's posture (trace.cpp): known shapes only, loud failures.
-class Scanner {
- public:
-  explicit Scanner(const std::string& line) : line_(line) {}
-
-  std::vector<std::pair<std::string, Value>> object() {
-    expect('{');
-    std::vector<std::pair<std::string, Value>> fields;
-    if (!consume('}')) {
-      do {
-        std::string key = string_value();
-        expect(':');
-        fields.emplace_back(std::move(key), value());
-      } while (consume(','));
-      expect('}');
-    }
-    skip_ws();
-    if (pos_ != line_.size()) {
-      fail(ErrorCode::kParseError, where() + ": trailing characters");
-    }
-    return fields;
-  }
-
- private:
-  std::string where() const { return cat("col ", pos_ + 1); }
-
-  /// Inter-token whitespace is legal JSON (json.dumps emits ": ") and
-  /// carries no information -- tolerating it is not leniency about
-  /// *content*, which stays strict. Newlines stay excluded: the
-  /// transport is line-delimited, so one can never appear mid-object.
-  void skip_ws() {
-    while (pos_ < line_.size() &&
-           (line_[pos_] == ' ' || line_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= line_.size() || line_[pos_] != c) {
-      fail(ErrorCode::kParseError,
-           where() + ": expected '" + std::string(1, c) + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < line_.size() && line_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Value value() {
-    skip_ws();
-    Value v;
-    if (pos_ < line_.size() && line_[pos_] == '"') {
-      v.is_string = true;
-      v.str = string_value();
-      return v;
-    }
-    if (pos_ < line_.size() && line_[pos_] == '-') {
-      // The protocol's integers are all counts, sizes, or seeds; a
-      // negative value is never meaningful and is rejected by name.
-      fail(ErrorCode::kBadValue, where() + ": negative integer");
-    }
-    if (pos_ >= line_.size() ||
-        !std::isdigit(static_cast<unsigned char>(line_[pos_]))) {
-      fail(ErrorCode::kParseError, where() + ": expected string or integer");
-    }
-    while (pos_ < line_.size() &&
-           std::isdigit(static_cast<unsigned char>(line_[pos_]))) {
-      const auto digit = static_cast<std::uint64_t>(line_[pos_++] - '0');
-      if (v.num > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-        fail(ErrorCode::kBadValue, where() + ": integer overflow");
-      }
-      v.num = v.num * 10 + digit;
-    }
-    return v;
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < line_.size() && line_[pos_] != '"') {
-      char c = line_[pos_++];
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= line_.size()) {
-        fail(ErrorCode::kParseError, where() + ": dangling escape");
-      }
-      char esc = line_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > line_.size()) {
-            fail(ErrorCode::kParseError, where() + ": truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = line_[pos_++];
-            unsigned digit = 0;
-            if (h >= '0' && h <= '9') digit = static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') digit = static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') digit = static_cast<unsigned>(h - 'A' + 10);
-            else fail(ErrorCode::kParseError, where() + ": bad \\u escape");
-            code = code * 16 + digit;
-          }
-          if (code >= 0x80) {
-            fail(ErrorCode::kParseError, where() + ": non-ASCII \\u escape");
-          }
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          fail(ErrorCode::kParseError, where() + ": unsupported escape");
-      }
-    }
-    expect('"');
-    return out;
-  }
-
-  const std::string& line_;
-  std::size_t pos_ = 0;
-};
-
-/// Field accessor over the scanned object: tracks which fields were
-/// consumed so leftovers become unknown_field, and rejects duplicates.
+/// The fields of one request object, scanned strictly and read by name.
+/// Duplicates are rejected up front and fields nobody reads become
+/// unknown_field. A request has a handful of fields, so lookup is linear.
 class Fields {
  public:
-  explicit Fields(std::vector<std::pair<std::string, Value>> fields)
-      : fields_(std::move(fields)) {
-    for (const auto& [key, value] : fields_) {
-      if (!by_name_.emplace(key, &value).second) {
-        fail(ErrorCode::kDuplicateField, "field '" + key + "' appears twice");
+  explicit Fields(std::string_view line) {
+    fields_.reserve(9);  // the most any valid request has
+    json::Scanner s(line);
+    try {
+      s.expect('{');
+      if (!s.consume('}')) {
+        do {
+          Field& f = fields_.emplace_back();
+          f.key = s.string();
+          s.expect(':');
+          const char c = s.peek();
+          if (c == '"') {
+            f.is_string = true;
+            f.str = s.string();
+          } else if (c == '-') {
+            // The protocol's integers are all counts, sizes, or seeds; a
+            // negative value is never meaningful and is rejected by name.
+            s.fail("negative integer", json::ScanError::Kind::kRange);
+          } else if (c >= '0' && c <= '9') {
+            f.num = s.uint();
+          } else {
+            s.fail("expected string or integer");
+          }
+        } while (s.consume(','));
+        s.expect('}');
+      }
+      s.end();
+    } catch (const json::ScanError& e) {
+      fail(e.kind() == json::ScanError::Kind::kRange ? ErrorCode::kBadValue
+                                                     : ErrorCode::kParseError,
+           e.what());
+    }
+    for (std::size_t k = 1; k < fields_.size(); ++k) {
+      if (find(fields_[k].key) != &fields_[k]) {
+        fail(ErrorCode::kDuplicateField,
+             cat("field '", fields_[k].key, "' appears twice"));
       }
     }
   }
 
-  std::string str(const std::string& key) {
-    const Value& v = take(key);
-    if (!v.is_string) {
-      fail(ErrorCode::kBadValue, "field '" + key + "' must be a string");
+  std::string str(std::string_view key) {
+    const Field& f = take(key);
+    if (!f.is_string) {
+      fail(ErrorCode::kBadValue, cat("field '", key, "' must be a string"));
     }
-    return v.str;
+    return f.str;
   }
 
-  std::uint64_t uint(const std::string& key) {
-    const Value& v = take(key);
-    if (v.is_string) {
-      fail(ErrorCode::kBadValue, "field '" + key + "' must be an integer");
+  std::uint64_t uint(std::string_view key) {
+    const Field& f = take(key);
+    if (f.is_string) {
+      fail(ErrorCode::kBadValue, cat("field '", key, "' must be an integer"));
     }
-    return v.num;
+    return f.num;
   }
 
   /// A bounded integer field; bounds violations name the field.
-  int bounded(const std::string& key, int lo, int hi) {
+  int bounded(std::string_view key, int lo, int hi) {
     const std::uint64_t v = uint(key);
     if (v < static_cast<std::uint64_t>(lo) ||
         v > static_cast<std::uint64_t>(hi)) {
@@ -211,32 +109,38 @@ class Fields {
     return static_cast<int>(v);
   }
 
-  bool has(const std::string& key) const { return by_name_.count(key) > 0; }
+  bool has(std::string_view key) { return find(key) != nullptr; }
 
-  /// Every field must have been consumed by now.
+  /// Every field must have been read by now.
   void finish() const {
-    for (const auto& [key, value] : fields_) {
-      (void)value;
-      if (taken_.count(key) == 0) {
+    for (const Field& f : fields_) {
+      if (!f.taken) {
         fail(ErrorCode::kUnknownField,
-             "field '" + key + "' is not part of this request");
+             cat("field '", f.key, "' is not part of this request"));
       }
     }
   }
 
  private:
-  const Value& take(const std::string& key) {
-    auto it = by_name_.find(key);
-    if (it == by_name_.end()) {
-      fail(ErrorCode::kMissingField, "required field '" + key + "' is absent");
+  /// The first field named `key`, or nullptr.
+  Field* find(std::string_view key) {
+    for (Field& f : fields_) {
+      if (f.key == key) return &f;
     }
-    taken_.insert(key);
-    return *it->second;
+    return nullptr;
   }
 
-  std::vector<std::pair<std::string, Value>> fields_;
-  std::map<std::string, const Value*> by_name_;
-  std::set<std::string> taken_;
+  Field& take(std::string_view key) {
+    Field* f = find(key);
+    if (f == nullptr) {
+      fail(ErrorCode::kMissingField,
+           cat("required field '", key, "' is absent"));
+    }
+    f->taken = true;
+    return *f;
+  }
+
+  std::vector<Field> fields_;
 };
 
 }  // namespace
@@ -245,38 +149,6 @@ const char* error_code_name(ErrorCode code) {
   const auto idx = static_cast<std::size_t>(code);
   RRFD_REQUIRE(idx < std::size(kErrorNames));
   return kErrorNames[idx];
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 Request parse_request(const std::string& line) {
@@ -292,7 +164,7 @@ Request parse_request(const std::string& line) {
          "concurrent/interrupted append");
   }
 
-  Fields fields(Scanner(line.substr(0, end)).object());
+  Fields fields(std::string_view(line).substr(0, end));
 
   if (!fields.has("schema")) {
     fail(ErrorCode::kBadVersion, "request carries no schema field");

@@ -19,14 +19,16 @@
 //   {"schema":"rrfd-job-v1","op":"stats"}
 //
 // Responses are rendered by the Server (server.h); this header owns the
-// request side plus the shared JSON-string escaping. The *result stream*
-// of a job (its `row` and `done` payloads) is a pure function of the
-// job's canonical form and seed, which is what makes results cacheable
-// by (canonical form, seed, git rev) -- see cache.h.
+// request grammar, on top of the shared flat-JSON scanner (util/json.h).
+// The *result stream* of a job (its `row` and `done` payloads) is a pure
+// function of the job's canonical form and seed, which is what makes
+// results cacheable by (canonical form, seed, git rev) -- see cache.h.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "util/json.h"
 
 namespace rrfd::serve {
 
@@ -107,12 +109,10 @@ struct Request {
 /// Parses one request line strictly; throws WireError on any deviation.
 Request parse_request(const std::string& line);
 
-/// JSON string escaping shared by request parsing and response
-/// rendering (ASCII control characters become \u00xx).
-std::string json_escape(const std::string& s);
-
-/// FNV-1a over a byte string; the digest used for trace canonicalization
-/// and result-stream checksums.
-std::uint64_t fnv1a(const std::string& bytes);
+/// Response rendering escapes strings, and trace canonicalization and
+/// result-stream checksums digest bytes, with the shared util/json.h
+/// helpers, also reachable under these names.
+using rrfd::fnv1a;
+using rrfd::json_escape;
 
 }  // namespace rrfd::serve

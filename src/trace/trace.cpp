@@ -2,11 +2,12 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
+#include "util/json.h"
 #include "util/log.h"
 #include "util/str.h"
 
@@ -25,28 +26,6 @@ constexpr const char* kKindNames[] = {
 constexpr const char* kSubstrateNames[] = {
     "engine", "runtime", "explorer", "msgpass", "semisync",
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -205,145 +184,91 @@ void write_trace(std::ostream& os, const Trace& trace) {
 
 namespace {
 
-/// Minimal strict scanner for the flat one-line objects this library
-/// writes. Not a general JSON parser: objects are non-nested, keys are
-/// known, values are strings or decimal integers.
-class LineParser {
- public:
-  LineParser(const std::string& line, std::size_t lineno)
-      : line_(line), lineno_(lineno) {}
+/// Scans the key of the next field and its colon; true iff it is `name`.
+bool key(json::Scanner& s, std::string_view name) {
+  const std::string k = s.string();
+  s.expect(':');
+  return k == name;
+}
 
-  void expect(char c) {
-    RRFD_REQUIRE_MSG(pos_ < line_.size() && line_[pos_] == c,
-                     where() + ": expected '" + std::string(1, c) + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < line_.size() && line_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string key() {
-    std::string k = string_value();
-    expect(':');
-    return k;
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < line_.size() && line_[pos_] != '"') {
-      char c = line_[pos_++];
-      if (c == '\\') {
-        RRFD_REQUIRE_MSG(pos_ < line_.size(), where() + ": dangling escape");
-        char esc = line_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            RRFD_REQUIRE_MSG(pos_ + 4 <= line_.size(),
-                             where() + ": truncated \\u escape");
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              char h = line_[pos_++];
-              unsigned digit = 0;
-              if (h >= '0' && h <= '9') digit = static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') digit = static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') digit = static_cast<unsigned>(h - 'A' + 10);
-              else RRFD_REQUIRE_MSG(false, where() + ": bad \\u escape");
-              code = code * 16 + digit;
-            }
-            RRFD_REQUIRE_MSG(code < 0x80, where() + ": non-ASCII \\u escape");
-            out += static_cast<char>(code);
-            break;
-          }
-          default:
-            RRFD_REQUIRE_MSG(false, where() + ": unsupported escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
-  }
-
-  /// A signed integer field stored as int32_t (process id, round, log
-  /// level). A wider value could not round-trip, so it is rejected with
-  /// the field's name rather than narrowed.
-  std::int32_t int32_value(const std::string& field) {
-    const bool negative = consume('-');
-    RRFD_REQUIRE_MSG(pos_ < line_.size() && std::isdigit(
-                         static_cast<unsigned char>(line_[pos_])),
-                     where() + ": expected integer");
-    // Largest magnitude: 2^31 for negatives, 2^31 - 1 otherwise.
-    const std::int64_t limit =
-        std::int64_t{std::numeric_limits<std::int32_t>::max()} +
-        (negative ? 1 : 0);
-    std::int64_t v = 0;
-    while (pos_ < line_.size() &&
-           std::isdigit(static_cast<unsigned char>(line_[pos_]))) {
-      v = v * 10 + (line_[pos_++] - '0');
-      RRFD_REQUIRE_MSG(v <= limit, where() + ": field '" + field +
-                                       "' is outside int32_t");
-    }
-    return static_cast<std::int32_t>(negative ? -v : v);
-  }
-
-  std::uint64_t uint_value() {
-    RRFD_REQUIRE_MSG(pos_ < line_.size() && std::isdigit(
-                         static_cast<unsigned char>(line_[pos_])),
-                     where() + ": expected unsigned integer");
-    std::uint64_t v = 0;
-    while (pos_ < line_.size() &&
-           std::isdigit(static_cast<unsigned char>(line_[pos_]))) {
-      const std::uint64_t digit =
-          static_cast<std::uint64_t>(line_[pos_++] - '0');
-      RRFD_REQUIRE_MSG(v <= (~std::uint64_t{0} - digit) / 10,
-                       where() + ": integer overflow");
-      v = v * 10 + digit;
-    }
-    return v;
-  }
-
-  void done() {
-    RRFD_REQUIRE_MSG(pos_ == line_.size(),
-                     where() + ": trailing characters");
-  }
-
-  std::size_t pos() const { return pos_; }
-
-  std::string where() const { return where(pos_); }
-
-  /// The location of byte `at` of this line, for a diagnostic.
-  std::string where(std::size_t at) const {
-    return cat("trace line ", lineno_, " col ", at + 1);
-  }
-
- private:
-  const std::string& line_;
-  std::size_t lineno_;
-  std::size_t pos_ = 0;
-};
+/// The next field must be `name`; any other key is rejected just past
+/// its colon.
+void expect_key(json::Scanner& s, std::string_view name) {
+  if (!key(s, name)) s.fail(cat("expected ", name));
+}
 
 /// The enumerator named `name` in `names`. An unknown name is rejected
-/// at byte `at` of the parser's line; the location is only rendered
-/// then.
+/// at byte `at` of the line.
 template <typename Enum, std::size_t N>
 Enum from_name(const char* const (&names)[N], const std::string& name,
-               const char* what, const LineParser& p, std::size_t at) {
+               const char* what, std::size_t at) {
   for (std::size_t k = 0; k < N; ++k) {
     if (name == names[k]) return static_cast<Enum>(k);
   }
-  RRFD_REQUIRE_MSG(false, cat(p.where(at), ": unknown ", what, " '", name,
-                              "'"));
-  return {};
+  throw json::ScanError(json::ScanError::Kind::kSyntax, at,
+                        cat("unknown ", what, " '", name, "'"));
+}
+
+/// Parses line `lineno` into `trace`: the meta line first, then one
+/// event or log record per line, each a flat object with its keys in
+/// the order the writer emits them.
+void read_line(std::string_view line, std::size_t lineno, Trace& trace) {
+  json::Scanner s(line);
+  s.expect('{');
+  if (lineno == 1) {
+    // Meta line: {"schema":"...","git_rev":"..."}.
+    if (!key(s, "schema")) s.fail("first line must carry the schema");
+    trace.schema = s.string();
+    if (trace.schema != kTraceSchema) {
+      s.fail(cat("unsupported trace schema '", trace.schema, "'"));
+    }
+    s.expect(',');
+    expect_key(s, "git_rev");
+    trace.git_rev = s.string();
+    s.expect('}');
+    s.end();
+    return;
+  }
+  if (trace.schema.empty()) s.fail("events before the schema line");
+
+  expect_key(s, "kind");
+  const std::string kind = s.string();
+  if (kind == "log") {
+    s.expect(',');
+    expect_key(s, "level");
+    const int level = s.int32("level");
+    s.expect(',');
+    expect_key(s, "msg");
+    trace.logs.emplace_back(level, s.string());
+    s.expect('}');
+    s.end();
+    return;
+  }
+
+  TraceEvent ev;
+  ev.kind = from_name<EventKind>(kKindNames, kind, "event kind", s.pos());
+  s.expect(',');
+  expect_key(s, "sub");
+  // An unknown substrate is reported at its value's opening quote.
+  s.peek();
+  const std::size_t sub_at = s.pos();
+  ev.substrate =
+      from_name<Substrate>(kSubstrateNames, s.string(), "substrate", sub_at);
+  s.expect(',');
+  expect_key(s, "p");
+  ev.proc = s.int32("p");
+  s.expect(',');
+  expect_key(s, "r");
+  ev.round = s.int32("r");
+  s.expect(',');
+  expect_key(s, "a");
+  ev.a = s.uint();
+  s.expect(',');
+  expect_key(s, "b");
+  ev.b = s.uint();
+  s.expect('}');
+  s.end();
+  trace.events.push_back(ev);
 }
 
 }  // namespace
@@ -356,80 +281,20 @@ Trace read_trace(std::istream& is) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
     try {
-      LineParser p(line, lineno);
-      p.expect('{');
-
-      if (lineno == 1) {
-        // Meta line: {"schema":"...","git_rev":"..."}.
-        RRFD_REQUIRE_MSG(p.key() == "schema",
-                         p.where() + ": first line must carry the schema");
-        trace.schema = p.string_value();
-        RRFD_REQUIRE_MSG(trace.schema == kTraceSchema,
-                         p.where() + ": unsupported trace schema '" +
-                             trace.schema + "'");
-        p.expect(',');
-        RRFD_REQUIRE_MSG(p.key() == "git_rev",
-                         p.where() + ": expected git_rev");
-        trace.git_rev = p.string_value();
-        p.expect('}');
-        p.done();
-        continue;
-      }
-      RRFD_REQUIRE_MSG(!trace.schema.empty(),
-                       p.where() + ": events before the schema line");
-
-      RRFD_REQUIRE_MSG(p.key() == "kind", p.where() + ": expected kind");
-      const std::string kind = p.string_value();
-      if (kind == "log") {
-        p.expect(',');
-        RRFD_REQUIRE_MSG(p.key() == "level", p.where() + ": expected level");
-        const int level = p.int32_value("level");
-        p.expect(',');
-        RRFD_REQUIRE_MSG(p.key() == "msg", p.where() + ": expected msg");
-        trace.logs.emplace_back(level, p.string_value());
-        p.expect('}');
-        p.done();
-        continue;
-      }
-
-      TraceEvent ev;
-      ev.kind = from_name<EventKind>(kKindNames, kind, "event kind", p,
-                                     p.pos());
-      p.expect(',');
-      RRFD_REQUIRE_MSG(p.key() == "sub", p.where() + ": expected sub");
-      // An unknown substrate is reported at its value's opening quote.
-      const std::size_t sub_at = p.pos();
-      ev.substrate = from_name<Substrate>(kSubstrateNames, p.string_value(),
-                                          "substrate", p, sub_at);
-      p.expect(',');
-      RRFD_REQUIRE_MSG(p.key() == "p", p.where() + ": expected p");
-      ev.proc = p.int32_value("p");
-      p.expect(',');
-      RRFD_REQUIRE_MSG(p.key() == "r", p.where() + ": expected r");
-      ev.round = p.int32_value("r");
-      p.expect(',');
-      RRFD_REQUIRE_MSG(p.key() == "a", p.where() + ": expected a");
-      ev.a = p.uint_value();
-      p.expect(',');
-      RRFD_REQUIRE_MSG(p.key() == "b", p.where() + ": expected b");
-      ev.b = p.uint_value();
-      p.expect('}');
-      p.done();
-      trace.events.push_back(ev);
-    } catch (const ContractViolation& e) {
+      read_line(line, lineno, trace);
+    } catch (const json::ScanError& e) {
       // Torn-line guard: a line that does not close its object is the
       // signature of interleaved partial appends from concurrent writers
       // (the reason the emitters write whole lines with one O_APPEND
       // write). Say so instead of leaving only a bare parse error.
-      if (line.back() != '}') {
-        RRFD_REQUIRE_MSG(
-            false,
-            std::string(e.what()) +
-                "\n  (trace line " + std::to_string(lineno) +
-                " does not end in '}': likely a torn line from a "
-                "concurrent/interrupted append)");
-      }
-      throw;
+      RRFD_REQUIRE_MSG(
+          false,
+          cat("trace line ", lineno, " ", e.what(),
+              line.back() != '}'
+                  ? cat("\n  (trace line ", lineno,
+                        " does not end in '}': likely a torn line from a "
+                        "concurrent/interrupted append)")
+                  : std::string()));
     }
   }
   RRFD_REQUIRE_MSG(!trace.schema.empty(), "trace is empty (no schema line)");

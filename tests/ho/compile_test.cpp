@@ -161,6 +161,28 @@ TEST(HoCompile, CompiledPredicatesRejectTooSmallSystems) {
   EXPECT_NO_THROW((void)pred->holds(FaultPattern(6)));
 }
 
+TEST(HoCompile, EvaluatorOutlivesItsPredicate) {
+  // Each evaluator below outlives the temporary predicate that made it;
+  // its nodes own the spec values they read, so it stays valid.
+  const std::string spec = "all(loss_cap(1),no_partition())";
+  std::unique_ptr<core::StepEvaluator> direct =
+      ho::compile_text(spec)->evaluator();
+  std::unique_ptr<core::StepEvaluator> conjoined =
+      core::all_of("both", {ho::compile_text(spec),
+                            ho::compile_text("link_budget(1)")})
+          ->evaluator();
+  for (core::StepEvaluator* eval : {direct.get(), conjoined.get()}) {
+    eval->begin(3, 2);
+    const std::uint64_t quiet[3] = {0b010, 0b000, 0b000};
+    EXPECT_EQ(eval->push_round(quiet), core::StepVerdict::kSatisfiedSoFar);
+    const std::uint64_t lossy[3] = {0b110, 0b000, 0b000};
+    EXPECT_EQ(eval->push_round(lossy), core::StepVerdict::kViolatedForever);
+    eval->pop_round();
+    std::vector<std::uint8_t> key;
+    EXPECT_TRUE(eval->state_bytes(key));
+  }
+}
+
 TEST(HoCompile, NamesDefaultToCanonicalSpecText) {
   EXPECT_EQ(ho::compile_text(" loss_cap( 2 ) ")->name(), "ho:loss_cap(2)");
   EXPECT_EQ(ho::compile_text("loss_cap(2)", "custom")->name(), "custom");

@@ -293,6 +293,18 @@ TEST(LintBaseline, FingerprintIgnoresLineNumbers) {
   EXPECT_EQ(finding_fingerprint(a.active[0]), finding_fingerprint(b.active[0]));
 }
 
+TEST(LintBaseline, FingerprintBytesArePinned) {
+  // Baseline entries store this value, so its bytes must not move: FNV-1a
+  // over "rule|path|snippet" with the snippet's blank runs collapsed.
+  Finding f;
+  f.rule = "no-raw-random";
+  f.path = "src/x.cpp";
+  f.line = 12;
+  f.snippet = "  std::mt19937\t gen(1);";
+  EXPECT_EQ(finding_fingerprint(f), 0x0c338d8c4fdbb64dULL);
+  EXPECT_EQ(baseline_entry(f), "no-raw-random|src/x.cpp|0c338d8c4fdbb64d");
+}
+
 TEST(LintBaseline, MalformedEntriesFailTheRun) {
   Baseline baseline = parse_baseline(
       "# comment\n"

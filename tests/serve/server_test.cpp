@@ -420,6 +420,49 @@ TEST(ServeServer, KSetReplayReExecutesByteIdentically) {
   EXPECT_TRUE(has(lines[2], "\"ev\":\"done\"")) << lines[2];
 }
 
+TEST(ServeServer, ReplayUnderTheWrongProtocolIsANamedDivergence) {
+  // A flood-min engine run re-executed as one-round k-set agreement: the
+  // scripted adversary replays, but the emitted values differ.
+  constexpr int kN = 4;
+  trace::CaptureRecorder capture;
+  {
+    trace::ScopedTrace attach(&capture);
+    std::vector<agreement::FloodMin> ps;
+    for (int i = 0; i < kN; ++i) ps.emplace_back(i * 3 + 1, /*rounds=*/2);
+    core::CrashAdversary adversary(kN, /*f=*/1, /*seed=*/7);
+    core::run_rounds(ps, adversary);
+  }
+  Server server(test_options());
+  Collector out;
+  server.submit_line(
+      replay_line("d1", "kset", trace_text(capture.events(), "fm-rev")),
+      out.sink());
+  server.drain();
+  const auto lines = out.lines_for("d1");
+  ASSERT_EQ(lines.size(), 2u);  // ack + error
+  EXPECT_TRUE(has(lines[0], "\"ev\":\"accepted\"")) << lines[0];
+  EXPECT_TRUE(has(lines[1], "\"code\":\"replay_divergence\"")) << lines[1];
+  EXPECT_TRUE(has(lines[1], "replay diverged at event #")) << lines[1];
+}
+
+TEST(ServeServer, ModelcheckThatThrowsIsANamedExecError) {
+  // The spec parses, so admission accepts it; it names process 2, which
+  // an n = 2 system lacks, so compiling it for the check throws.
+  Server server(test_options());
+  Collector out;
+  server.submit_line(
+      R"x({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"e1",)x"
+      R"x("kind":"modelcheck","n":2,"rounds":1,)x"
+      R"x("spec_a":"partition(src={0},dst={1,2})","spec_b":"loss_cap(1)"})x",
+      out.sink());
+  server.drain();
+  const auto lines = out.lines_for("e1");
+  ASSERT_EQ(lines.size(), 2u);  // ack + error
+  EXPECT_TRUE(has(lines[0], "\"ev\":\"accepted\"")) << lines[0];
+  EXPECT_TRUE(has(lines[1], "\"code\":\"exec_error\"")) << lines[1];
+  EXPECT_TRUE(has(lines[1], "spec names a process id >= n")) << lines[1];
+}
+
 TEST(ServeServer, UnknownReplayProtocolIsANamedWireError) {
   Server server(test_options());
   Collector out;

@@ -204,6 +204,16 @@ TEST(ServeWire, ScannerDecodesEveryEscapeItAccepts) {
   EXPECT_EQ(req.id, "t\tuA~");
 }
 
+TEST(ServeWire, EscapedKeysNameTheirField) {
+  // A key is a JSON string like any other: "\u0073chema" names schema.
+  const Request req =
+      parse_request(R"({"\u0073chema":"rrfd-job-v1","op":"stats"})");
+  EXPECT_EQ(req.op, Op::kStats);
+  EXPECT_EQ(rejection_of(R"({"schema":"rrfd-job-v1","op":"stats",)"
+                         R"("\u006fp":"stats"})"),
+            "duplicate_field: field 'op' appears twice");
+}
+
 TEST(ServeWire, RejectionDetailsAreGolden) {
   // The detail text of every scanner branch and field check, pinned
   // byte for byte: clients and logs read these, and several are built

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "util/check.h"
 #include "util/log.h"
@@ -82,6 +84,25 @@ TEST(TeeSink, FansOutToBothSinks) {
   EXPECT_EQ(ring.total(), 1u);
   ASSERT_EQ(capture.events().size(), 1u);
   EXPECT_EQ(capture.events()[0].proc, 2);
+}
+
+TEST(TeeSink, ContextJoinsTheNonEmptyContextsOfBothSinks) {
+  RingRecorder empty_a(4);
+  RingRecorder empty_b(4);
+  EXPECT_EQ(TeeSink(&empty_a, &empty_b).context(), "");
+
+  RingRecorder first(4);
+  RingRecorder second(4);
+  {
+    TeeSink tee(&first, &second);
+    ScopedTrace attach(&tee);
+    record(EventKind::kCrash, Substrate::kRuntime, 2, 7);
+  }
+  ASSERT_FALSE(first.context().empty());
+  EXPECT_EQ(TeeSink(&first, &empty_a).context(), first.context());
+  EXPECT_EQ(TeeSink(&empty_a, &second).context(), second.context());
+  EXPECT_EQ(TeeSink(&first, &second).context(),
+            first.context() + "\n" + second.context());
 }
 
 TEST(TraceEvent, ToStringNamesKindSubstrateAndFields) {
@@ -168,6 +189,36 @@ TEST(Jsonl, WriterThenReaderRoundTripsExactly) {
   EXPECT_EQ(again.events, trace.events);
   EXPECT_EQ(again.logs, trace.logs);
   EXPECT_EQ(again.git_rev, trace.git_rev);
+}
+
+TEST(Jsonl, FilesRoundTripAndUnopenablePathsAreNamed) {
+  const std::string path = ::testing::TempDir() + "rrfd_trace_file_test.jsonl";
+  {
+    JsonlWriter writer(path);
+    writer.on_event(make_event(EventKind::kDecide, 1, 3, 9));
+  }
+  const Trace trace = read_trace_file(path);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0], make_event(EventKind::kDecide, 1, 3, 9));
+  std::remove(path.c_str());
+
+  const std::string missing =
+      ::testing::TempDir() + "rrfd-no-such-dir/trace.jsonl";
+  for (const bool write : {true, false}) {
+    try {
+      if (write) {
+        JsonlWriter writer(missing);
+      } else {
+        (void)read_trace_file(missing);
+      }
+      FAIL() << "opening " << missing << " must throw";
+    } catch (const ContractViolation& violation) {
+      EXPECT_NE(std::string(violation.what())
+                    .find("cannot open trace file: " + missing),
+                std::string::npos)
+          << violation.what();
+    }
+  }
 }
 
 TEST(Jsonl, ParserRejectsMissingMetaLine) {
@@ -265,6 +316,133 @@ TEST(Jsonl, UnknownNamesAreRejectedAtAFixedColumn) {
   EXPECT_NE(sub.find("trace line 2 col 22: unknown substrate 'bogus'"),
             std::string::npos)
       << sub;
+}
+
+/// The rejection of `text` from its first "trace line " on: the location
+/// and detail, plus the torn-line note when one is appended.
+std::string located_rejection_of(const std::string& text) {
+  const std::string what = rejection_of(text);
+  const std::size_t at = what.find("trace line ");
+  return at == std::string::npos ? what : what.substr(at);
+}
+
+TEST(Jsonl, RejectionDetailsAreGolden) {
+  // Every scanner branch and grammar check of the reader, pinned byte
+  // for byte from "trace line" on. Lines 2+ follow a valid meta line.
+  const std::string meta = "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n";
+  const std::string torn =
+      "\n  (trace line 2 does not end in '}': likely a torn line from a "
+      "concurrent/interrupted append)";
+  const std::pair<std::string, std::string> cases[] = {
+      {meta + R"({"kind":"log","level":0,"msg":"\q"})",
+       "trace line 2 col 34: unsupported escape"},
+      {meta + R"({"kind":"log","level":0,"msg":"\u0})",
+       "trace line 2 col 34: truncated \\u escape"},
+      {meta + R"({"kind":"log","level":0,"msg":"\u00zz"})",
+       "trace line 2 col 37: bad \\u escape"},
+      {meta + R"({"kind":"log","level":0,"msg":"\u00e9"})",
+       "trace line 2 col 38: non-ASCII \\u escape"},
+      {meta + R"({"kind":"log","level":0,"msg":"m\)",
+       "trace line 2 col 34: dangling escape" + torn},
+      {meta + R"({"kind","log"})", "trace line 2 col 8: expected ':'"},
+      {meta + R"({"kind":"log","level":0,"msg":"m","x":1})",
+       "trace line 2 col 34: expected '}'"},
+      {meta + R"({"kind":"log","level":0,"msg":"m"}x})",
+       "trace line 2 col 35: trailing characters"},
+      {meta + R"({"kind":"log","level":0,"msg":"m"}x)",
+       "trace line 2 col 35: trailing characters" + torn},
+      {meta + R"({"kind":"log","level":"0","msg":"m"})",
+       "trace line 2 col 23: expected integer"},
+      {meta + R"({"kind":"log","level":-x,"msg":"m"})",
+       "trace line 2 col 24: expected integer"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":-1,"b":0})",
+       "trace line 2 col 47: expected unsigned integer"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,)"
+              R"("a":18446744073709551616,"b":0})",
+       "trace line 2 col 67: integer overflow"},
+      {meta + R"({kind:"log"})", "trace line 2 col 2: expected '\"'"},
+      {meta + R"(["kind":"log"})", "trace line 2 col 1: expected '{'"},
+      {R"({"git_rev":"x","schema":"rrfd-trace-v1"})",
+       "trace line 1 col 12: first line must carry the schema"},
+      {R"({"schema":"rrfd-trace-v2","git_rev":"x"})",
+       "trace line 1 col 26: unsupported trace schema 'rrfd-trace-v2'"},
+      {R"({"schema":"rrfd-trace-v1","rev":"x"})",
+       "trace line 1 col 33: expected git_rev"},
+      {R"({"schema":"rrfd-trace-v1","git_rev":"x","y":1})",
+       "trace line 1 col 40: expected '}'"},
+      {"# comment\n" + std::string(R"({"kind":"log","level":0,"msg":"m"})"),
+       "trace line 2 col 2: events before the schema line"},
+      {meta + R"({"sub":"engine"})", "trace line 2 col 8: expected kind"},
+      {meta + R"({"kind":"log","msg":"m"})",
+       "trace line 2 col 21: expected level"},
+      {meta + R"({"kind":"log","level":0,"text":"m"})",
+       "trace line 2 col 32: expected msg"},
+      {meta + R"({"kind":"emit","p":0})", "trace line 2 col 20: expected sub"},
+      {meta + R"({"kind":"emit","sub":"engine","r":1})",
+       "trace line 2 col 35: expected p"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"a":1})",
+       "trace line 2 col 41: expected r"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"b":0})",
+       "trace line 2 col 47: expected a"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":0,"c":0})",
+       "trace line 2 col 53: expected b"},
+  };
+  for (const auto& [text, expected] : cases) {
+    EXPECT_EQ(located_rejection_of(text + "\n"), expected) << text;
+  }
+}
+
+TEST(Jsonl, ControlCharactersRoundTrip) {
+  // A log message is the one free-text field of a trace: control bytes
+  // are written as \u00xx (or \t), quotes and backslashes escaped, and
+  // the reader decodes them back to the same bytes.
+  const std::string msg = "a\x01 b\tc\"d\\e\x1f";
+  std::ostringstream os;
+  {
+    JsonlWriter writer(os);
+    writer.on_log(2, msg);
+  }
+  const std::string text = os.str();
+  EXPECT_NE(text.find(R"({"kind":"log","level":2,"msg":"a\u0001 b\tc\"d\\e\u001f"})"
+                      "\n"),
+            std::string::npos)
+      << text;
+  std::istringstream is(text);
+  const Trace trace = read_trace(is);
+  ASSERT_EQ(trace.logs.size(), 1u);
+  EXPECT_EQ(trace.logs[0].second, msg);
+}
+
+TEST(Jsonl, InterTokenWhitespaceIsAccepted) {
+  // Python's json.dumps writes ": " and ", "; spaces and tabs before a
+  // token carry no information. The writer itself never emits them.
+  const std::string spaced =
+      "{\"schema\": \"rrfd-trace-v1\", \"git_rev\": \"x\"}\n"
+      " {\"kind\": \"emit\",\t\"sub\": \"engine\", \"p\": -1, \"r\": 2,"
+      " \"a\": 3, \"b\": 4 } \n"
+      "{ \"kind\" : \"log\" , \"level\" : 1 , \"msg\" : \"m \" }\n";
+  std::istringstream is(spaced);
+  const Trace trace = read_trace(is);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0], make_event(EventKind::kEmit, -1, 2, 3, 4));
+  ASSERT_EQ(trace.logs.size(), 1u);
+  EXPECT_EQ(trace.logs[0].second, "m ");
+  std::ostringstream os;
+  write_trace(os, trace);
+  EXPECT_EQ(os.str(),
+            "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n"
+            "{\"kind\":\"emit\",\"sub\":\"engine\",\"p\":-1,\"r\":2,\"a\":3,"
+            "\"b\":4}\n"
+            "{\"kind\":\"log\",\"level\":1,\"msg\":\"m \"}\n");
+  // Columns still count every byte, the skipped ones included.
+  EXPECT_EQ(located_rejection_of(
+                "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n"
+                "{\"kind\": \"bogus\", \"sub\": \"engine\"}\n"),
+            "trace line 2 col 17: unknown event kind 'bogus'");
+  EXPECT_EQ(located_rejection_of(
+                "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n"
+                "{\"kind\":\"emit\", \"sub\":  \"bogus\"}\n"),
+            "trace line 2 col 25: unknown substrate 'bogus'");
 }
 
 /// A trace whose second line carries `value` in `field` (p, r or level)

@@ -33,6 +33,7 @@
 #include "ho/spec.h"
 #include "sweep/submodel_parallel.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace {
 
@@ -63,31 +64,6 @@ bool parse_int_arg(const std::string& value, int min, int* out) {
     return false;
   }
   return *out >= min;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Compiles one spec and prints its JSON line. Returns false (after an
