@@ -8,6 +8,7 @@
 #include <mutex>
 #include <numeric>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -15,6 +16,7 @@
 
 #include "core/canonical_roots.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace rrfd::core {
 namespace {
@@ -158,22 +160,11 @@ std::vector<PermTable> build_perm_tables(int n) {
   return tables;
 }
 
-/// Orbit size of round d under the renamings in `members` if d is
-/// canonical under them (lexicographically minimal in its orbit), else 0.
-std::int64_t orbit_if_canonical(const std::vector<PermTable>& perms,
-                                PermMask members, const std::uint64_t* d,
-                                int n) {
-  std::array<std::uint64_t, detail::kMaxSymmetryProcesses> image{};
-  std::int64_t stabilizer = 0;
-  for (PermMask rest = members; rest != 0; rest &= rest - 1) {
-    rename_round(perms[static_cast<std::size_t>(std::countr_zero(rest))], d,
-                 n, image.data());
-    const auto cmp = std::lexicographical_compare_three_way(
-        image.begin(), image.begin() + n, d, d + n);
-    if (cmp < 0) return 0;  // a strictly smaller renaming exists
-    if (cmp == 0) ++stabilizer;
-  }
-  return std::popcount(members) / stabilizer;
+/// The index of round d, decode_root's inverse.
+std::size_t round_index(const std::uint64_t* d, int n, std::uint64_t v) {
+  std::size_t k = 0;
+  for (int i = n - 1; i >= 0; --i) k = k * v + d[i];
+  return k;
 }
 
 /// Every subgroup of the group `perms`, as ascending membership masks.
@@ -225,17 +216,47 @@ std::vector<PermMask> build_subgroups(const std::vector<PermTable>& perms,
 }
 
 /// Calls visit(k, d, orbit) on every round k, in ascending index, that is
-/// canonical under the renamings in `members`; d holds its words.
+/// canonical under the renamings in `members` (lexicographically minimal
+/// in its orbit, D(0) compared first); d holds its words. `members` must
+/// be a group that contains the identity, as build_subgroups makes them.
+/// Its orbits then partition the rounds, so one walk in lexicographic
+/// order meets each orbit first at its canonical round, which marks the
+/// rest of the orbit and counts it.
 template <typename Visit>
 void for_each_canonical(const std::vector<PermTable>& perms, PermMask members,
                         int n, const Visit& visit) {
-  const std::int64_t v = (std::int64_t{1} << n) - 1;
-  const std::int64_t total = *checked_space(n, n);
+  const std::uint64_t v = (std::uint64_t{1} << n) - 1;  // the digit base
+  const auto digits = static_cast<std::size_t>(n);
+  // orbit[k]: 0 until round k is reached, then the orbit size if k is
+  // canonical, else -1.
+  std::vector<std::int8_t> orbit(
+      static_cast<std::size_t>(*checked_space(n, n)));
   std::array<std::uint64_t, detail::kMaxSymmetryProcesses> d{};
-  for (std::int64_t k = 0; k < total; ++k) {
-    decode_root(k, n, v, d.data());
-    const std::int64_t orbit = orbit_if_canonical(perms, members, d.data(), n);
-    if (orbit != 0) visit(k, d, orbit);
+  std::array<std::uint64_t, detail::kMaxSymmetryProcesses> image{};
+  for (;;) {
+    std::int8_t& here = orbit[round_index(d.data(), n, v)];
+    if (here == 0) {
+      std::int8_t size = 0;
+      for (PermMask rest = members; rest != 0; rest &= rest - 1) {
+        rename_round(perms[static_cast<std::size_t>(std::countr_zero(rest))],
+                     d.data(), n, image.data());
+        std::int8_t& seen = orbit[round_index(image.data(), n, v)];
+        if (seen == 0) {
+          seen = -1;
+          ++size;
+        }
+      }
+      here = size;
+    }
+    // The next round in lexicographic order: D(n - 1) varies fastest.
+    std::size_t i = digits;
+    while (i > 0 && ++d[i - 1] == v) d[--i] = 0;
+    if (i == 0) break;
+  }
+  // Index order, D(0) varying fastest; d wrapped back to all zeros.
+  for (std::size_t k = 0; k < orbit.size(); ++k) {
+    if (orbit[k] > 0) visit(static_cast<std::int64_t>(k), d, orbit[k]);
+    for (std::size_t i = 0; i < digits && ++d[i] == v; ++i) d[i] = 0;
   }
 }
 
@@ -311,12 +332,8 @@ struct MemoEntry {
 /// FNV-1a over the canonical key bytes.
 struct MemoKeyHash {
   std::size_t operator()(const std::vector<std::uint8_t>& key) const noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::uint8_t byte : key) {
-      h ^= byte;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(fnv1a(std::string_view(
+        reinterpret_cast<const char*>(key.data()), key.size())));
   }
 };
 

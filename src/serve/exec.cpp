@@ -135,7 +135,7 @@ JobResult run_replay(const Request& req) {
   try {
     replayer.verify_matches(capture.events());
   } catch (const ContractViolation& e) {
-    return failure("replay_divergence", e.what());
+    return failure("replay_divergence", e.message());
   }
   JobResult result;
   result.rows.push_back(cat("\"events\":", capture.events().size(),
@@ -157,6 +157,8 @@ JobResult execute(const Request& req, int sweep_threads) {
     }
     RRFD_ENSURE_MSG(false, "unreachable job kind");
     return {};
+  } catch (const ContractViolation& e) {
+    return failure("exec_error", e.message());
   } catch (const std::exception& e) {
     return failure("exec_error", e.what());
   }

@@ -214,7 +214,7 @@ Request parse_request(const std::string& line) {
         (void)ho::parse_spec(*spec);
       } catch (const ContractViolation& e) {
         fail(ErrorCode::kBadValue,
-             "spec '" + *spec + "' does not parse: " + e.what());
+             "spec '" + *spec + "' does not parse: " + e.message());
       }
     }
   } else if (kind == "replay") {
@@ -236,7 +236,7 @@ Request parse_request(const std::string& line) {
       (void)trace::read_trace(is);
     } catch (const ContractViolation& e) {
       fail(ErrorCode::kBadValue,
-           std::string("embedded trace does not parse: ") + e.what());
+           "embedded trace does not parse: " + e.message());
     }
   } else {
     fail(ErrorCode::kUnknownKind, "unknown job kind '" + kind + "'");

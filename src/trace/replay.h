@@ -78,7 +78,7 @@ class TraceReplayer {
   std::vector<std::pair<std::int32_t, std::int32_t>> step_choices() const;
 
   /// Asserts that a re-executed event stream matches the recorded one
-  /// exactly (same events, same order; metadata and log lines ignored).
+  /// exactly (same events, same order; metadata ignored).
   /// Throws ContractViolation describing the first divergence.
   void verify_matches(const std::vector<TraceEvent>& replayed) const;
   void verify_matches(const Trace& replayed) const {

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "util/json.h"
-#include "util/log.h"
 #include "util/str.h"
 
 #ifndef RRFD_GIT_REV
@@ -103,14 +102,6 @@ std::string RingRecorder::context() const {
   return to_string();
 }
 
-std::string TeeSink::context() const {
-  const std::string a = first_->context();
-  const std::string b = second_->context();
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  return a + "\n" + b;
-}
-
 // ---------------------------------------------------------------------------
 // JSONL writing
 // ---------------------------------------------------------------------------
@@ -122,11 +113,6 @@ void write_event_line(std::ostream& os, const TraceEvent& ev) {
      << substrate_name(ev.substrate) << "\",\"p\":" << ev.proc
      << ",\"r\":" << ev.round << ",\"a\":" << ev.a << ",\"b\":" << ev.b
      << "}\n";
-}
-
-void write_log_line(std::ostream& os, int level, const std::string& msg) {
-  os << "{\"kind\":\"log\",\"level\":" << level << ",\"msg\":\""
-     << json_escape(msg) << "\"}\n";
 }
 
 void write_meta_line(std::ostream& os, const std::string& git_rev) {
@@ -167,15 +153,9 @@ void JsonlWriter::on_event(const TraceEvent& ev) {
   os_->flush();
 }
 
-void JsonlWriter::on_log(int level, const std::string& msg) {
-  write_log_line(*os_, level, msg);
-  os_->flush();
-}
-
 void write_trace(std::ostream& os, const Trace& trace) {
   write_meta_line(os, trace.git_rev);
   for (const TraceEvent& ev : trace.events) write_event_line(os, ev);
-  for (const auto& [level, msg] : trace.logs) write_log_line(os, level, msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,8 +190,8 @@ Enum from_name(const char* const (&names)[N], const std::string& name,
 }
 
 /// Parses line `lineno` into `trace`: the meta line first, then one
-/// event or log record per line, each a flat object with its keys in
-/// the order the writer emits them.
+/// event per line, each a flat object with its keys in the order the
+/// writer emits them.
 void read_line(std::string_view line, std::size_t lineno, Trace& trace) {
   json::Scanner s(line);
   s.expect('{');
@@ -233,18 +213,6 @@ void read_line(std::string_view line, std::size_t lineno, Trace& trace) {
 
   expect_key(s, "kind");
   const std::string kind = s.string();
-  if (kind == "log") {
-    s.expect(',');
-    expect_key(s, "level");
-    const int level = s.int32("level");
-    s.expect(',');
-    expect_key(s, "msg");
-    trace.logs.emplace_back(level, s.string());
-    s.expect('}');
-    s.end();
-    return;
-  }
-
   TraceEvent ev;
   ev.kind = from_name<EventKind>(kKindNames, kind, "event kind", s.pos());
   s.expect(',');
@@ -279,6 +247,8 @@ Trace read_trace(std::istream& is) {
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
+    // A CRLF file reads like its LF copy: the '\r' ends the line.
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     try {
       read_line(line, lineno, trace);
@@ -308,18 +278,8 @@ Trace read_trace_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Log routing + RRFD_TRACE env hook
+// RRFD_TRACE env hook
 // ---------------------------------------------------------------------------
-
-void forward_logs_to_trace() {
-  Log::set_sink(+[](LogLevel level, const std::string& msg) {
-    if (TraceSink* s = Tracer::sink()) {
-      s->on_log(static_cast<int>(level), msg);
-    } else {
-      Log::default_write(level, msg);
-    }
-  });
-}
 
 namespace {
 
@@ -332,7 +292,6 @@ struct EnvTraceInit {
     if (path == nullptr || *path == '\0') return;
     auto* writer = new JsonlWriter(std::string(path));
     Tracer::attach(writer);
-    forward_logs_to_trace();
   }
 };
 const EnvTraceInit env_trace_init;

@@ -24,7 +24,6 @@
 //   CaptureRecorder -- unbounded vector; raw material for TraceReplayer.
 //   JsonlWriter     -- schema-versioned JSON Lines file/stream, git rev
 //                      stamped, mirroring the BENCH_rrfd.json conventions.
-//   TeeSink         -- fan-out to two sinks (e.g. ring + JSONL).
 //
 // The JSONL schema and the replay contract are documented in DESIGN.md §3;
 // set RRFD_TRACE=path to stream a run to disk from any binary linking
@@ -118,10 +117,6 @@ class TraceSink {
   virtual ~TraceSink() = default;
 
   virtual void on_event(const TraceEvent& ev) = 0;
-
-  /// Log lines routed through rrfd::Log when the tracer owns the log sink
-  /// (see Log::set_sink). Default: ignore.
-  virtual void on_log(int /*level*/, const std::string& /*msg*/) {}
 
   /// Human-readable context for ContractViolation messages (the ring
   /// recorder returns its tail). Default: nothing.
@@ -237,29 +232,6 @@ class CaptureRecorder : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// Fans events out to two sinks (e.g. a ring for crash context plus a
-/// JSONL stream for offline replay).
-class TeeSink : public TraceSink {
- public:
-  TeeSink(TraceSink* first, TraceSink* second) : first_(first), second_(second) {
-    RRFD_REQUIRE(first != nullptr && second != nullptr);
-  }
-
-  void on_event(const TraceEvent& ev) override {
-    first_->on_event(ev);
-    second_->on_event(ev);
-  }
-  void on_log(int level, const std::string& msg) override {
-    first_->on_log(level, msg);
-    second_->on_log(level, msg);
-  }
-  std::string context() const override;
-
- private:
-  TraceSink* first_;
-  TraceSink* second_;
-};
-
 // ---------------------------------------------------------------------------
 // Serialized traces (JSON Lines).
 // ---------------------------------------------------------------------------
@@ -269,21 +241,18 @@ class TeeSink : public TraceSink {
 ///   {"schema":"rrfd-trace-v1","git_rev":"<rev>"}
 /// and every further line is one event
 ///   {"kind":"announce","sub":"engine","p":1,"r":2,"a":5,"b":0}
-/// (a/b are unsigned decimal integers; log lines are
-///   {"kind":"log","level":1,"msg":"..."} and are skipped by the parser's
-/// event stream but preserved round-trip as `logs`).
+/// (a/b are unsigned decimal integers).
 struct Trace {
   std::string schema;    ///< "rrfd-trace-v1"
   std::string git_rev;   ///< revision of the writing binary
   std::vector<TraceEvent> events;
-  std::vector<std::pair<int, std::string>> logs;  ///< (level, message)
 };
 
 inline constexpr const char* kTraceSchema = "rrfd-trace-v1";
 
-/// Streams every event (and captured log line) as JSON Lines. The meta
-/// line is written on construction; events are flushed line-by-line so a
-/// crashed run still leaves a readable prefix.
+/// Streams every event as JSON Lines. The meta line is written on
+/// construction; events are flushed line-by-line so a crashed run still
+/// leaves a readable prefix.
 class JsonlWriter : public TraceSink {
  public:
   /// Writes to `os` (not owned; must outlive the writer).
@@ -293,7 +262,6 @@ class JsonlWriter : public TraceSink {
   ~JsonlWriter() override;
 
   void on_event(const TraceEvent& ev) override;
-  void on_log(int level, const std::string& msg) override;
 
  private:
   void write_meta();
@@ -308,13 +276,8 @@ class JsonlWriter : public TraceSink {
 Trace read_trace(std::istream& is);
 Trace read_trace_file(const std::string& path);
 
-/// Writes a trace back out (meta line + events + logs); read_trace of the
+/// Writes a trace back out (meta line + events); read_trace of the
 /// result round-trips exactly.
 void write_trace(std::ostream& os, const Trace& trace);
-
-/// Installs a Log sink that forwards rrfd::Log lines into the active
-/// trace sink's on_log (falling back to the default stderr writer when no
-/// trace sink is attached). Call Log::set_sink(nullptr) to undo.
-void forward_logs_to_trace();
 
 }  // namespace rrfd::trace

@@ -20,10 +20,22 @@ namespace rrfd {
 class ContractViolation : public std::logic_error {
  public:
   ContractViolation(const char* kind, const char* expr, const char* file,
-                    int line, const std::string& msg)
+                    int line, const std::string& msg,
+                    const std::string& context)
       : std::logic_error(std::string(kind) + " failed: (" + expr + ") at " +
                          file + ":" + std::to_string(line) +
-                         (msg.empty() ? "" : ": " + msg)) {}
+                         (msg.empty() && context.empty() ? "" : ": ") + msg +
+                         (msg.empty() || context.empty() ? "" : "\n") +
+                         context),
+        message_(msg.empty() ? std::string(kind) + " failed: (" + expr + ")"
+                             : msg) {}
+
+  /// The caller's message, or "<kind> failed: (<expr>)" without one. It
+  /// names no source file and carries no context, so clients may see it.
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -43,16 +55,13 @@ inline std::atomic<ContractContextProvider>& contract_context_provider() {
 [[noreturn]] inline void contract_fail(const char* kind, const char* expr,
                                        const char* file, int line,
                                        const std::string& msg = {}) {
-  std::string full = msg;
+  std::string context;
   if (ContractContextProvider provider =
           // rrfd-lint: allow(atomic-justified) -- captureless fn pointer
           contract_context_provider().load(std::memory_order_relaxed)) {
-    const std::string context = provider();
-    if (!context.empty()) {
-      full += full.empty() ? context : "\n" + context;
-    }
+    context = provider();
   }
-  throw ContractViolation(kind, expr, file, line, full);
+  throw ContractViolation(kind, expr, file, line, msg, context);
 }
 
 }  // namespace detail

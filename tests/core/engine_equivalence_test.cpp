@@ -122,7 +122,7 @@ TEST(EngineEquivalence, RecorderAgreesAcrossAdversaryZoo) {
             traced_recorder_run(n, *adv, options, recorded_trace);
 
         trace::TraceReplayer replayer(
-            trace::Trace{trace::kTraceSchema, "", recorded_trace.events(), {}});
+            trace::Trace{trace::kTraceSchema, "", recorded_trace.events()});
         ASSERT_TRUE(replayer.recorded_rounds().has_value());
         EXPECT_EQ(*replayer.recorded_rounds(), recorded.rounds);
         EXPECT_EQ(replayer.recorded_pattern(), recorded.pattern);

@@ -246,6 +246,21 @@ TEST(ServeWire, RejectionDetailsAreGolden) {
       {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
        R"("kind":"replay","protocol":"paxos","trace":"x"})",
        "bad_value: unknown replay protocol 'paxos'"},
+      // A spec or an embedded trace that does not parse is named by the
+      // parser's own message, never by a source path.
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"modelcheck","n":2,"rounds":1,)"
+       R"x("spec_a":"loss_cap(","spec_b":"loss_cap(1)"})x",
+       "bad_value: spec 'loss_cap(' does not parse: at offset 9: "
+       "expected an integer in \"loss_cap(\""},
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"replay","protocol":"flood_min","f":1,"trace":"{}"})",
+       "bad_value: embedded trace does not parse: trace line 1 col 2: "
+       "expected '\"'"},
+      {R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
+       R"("kind":"replay","protocol":"flood_min","f":1,"trace":""})",
+       "bad_value: embedded trace does not parse: trace is empty (no schema "
+       "line)"},
   };
   for (const auto& [line, detail] : cases) {
     EXPECT_EQ(rejection_of(line), detail) << line;
@@ -259,12 +274,11 @@ TEST(ServeWire, DanglingEscapeIsNamedInAnEmbeddedTrace) {
   const std::string rejection = rejection_of(
       R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j",)"
       R"("kind":"replay","protocol":"flood_min","f":1,"trace":)"
-      R"("{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n)"
-      R"({\"kind\":\"log\",\"level\":0,\"msg\":\"m\\"})");
+      R"("{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\\"})");
   EXPECT_EQ(rejection.rfind("bad_value: embedded trace does not parse: ", 0),
             0u)
       << rejection;
-  EXPECT_NE(rejection.find("trace line 2 col 34: dangling escape"),
+  EXPECT_NE(rejection.find("trace line 1 col 40: dangling escape"),
             std::string::npos)
       << rejection;
 }

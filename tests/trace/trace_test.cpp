@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/log.h"
 
 namespace rrfd::trace {
 namespace {
@@ -75,36 +74,6 @@ TEST(RingRecorder, KeepsOnlyTheTailAndCountsDrops) {
   }
 }
 
-TEST(TeeSink, FansOutToBothSinks) {
-  RingRecorder ring(8);
-  CaptureRecorder capture;
-  TeeSink tee(&ring, &capture);
-  ScopedTrace attach(&tee);
-  record(EventKind::kCrash, Substrate::kRuntime, 2, 7);
-  EXPECT_EQ(ring.total(), 1u);
-  ASSERT_EQ(capture.events().size(), 1u);
-  EXPECT_EQ(capture.events()[0].proc, 2);
-}
-
-TEST(TeeSink, ContextJoinsTheNonEmptyContextsOfBothSinks) {
-  RingRecorder empty_a(4);
-  RingRecorder empty_b(4);
-  EXPECT_EQ(TeeSink(&empty_a, &empty_b).context(), "");
-
-  RingRecorder first(4);
-  RingRecorder second(4);
-  {
-    TeeSink tee(&first, &second);
-    ScopedTrace attach(&tee);
-    record(EventKind::kCrash, Substrate::kRuntime, 2, 7);
-  }
-  ASSERT_FALSE(first.context().empty());
-  EXPECT_EQ(TeeSink(&first, &empty_a).context(), first.context());
-  EXPECT_EQ(TeeSink(&empty_a, &second).context(), second.context());
-  EXPECT_EQ(TeeSink(&first, &second).context(),
-            first.context() + "\n" + second.context());
-}
-
 TEST(TraceEvent, ToStringNamesKindSubstrateAndFields) {
   const std::string s =
       to_string(make_event(EventKind::kAnnounce, 1, 2, 5, 0));
@@ -132,6 +101,8 @@ TEST(RingRecorder, ContractViolationCarriesTheEventTail) {
     EXPECT_NE(what.find("trace tail"), std::string::npos);
     EXPECT_NE(what.find("deliver"), std::string::npos);
     EXPECT_NE(what.find("r=9"), std::string::npos);
+    // The tail is context for what(); message() stays the caller's text.
+    EXPECT_EQ(violation.message(), "synthetic failure");
   }
 }
 
@@ -163,7 +134,6 @@ TEST(Jsonl, WriterThenReaderRoundTripsExactly) {
     record(EventKind::kSchedChoice, Substrate::kSemisync, 2, 0, 3);
     record(EventKind::kDeliver, Substrate::kSemisync, 2, 1, 0,
            static_cast<std::uint64_t>(-7));  // negative payloads survive
-    writer.on_log(1, "line with \"quotes\" and\nnewline");
     record(EventKind::kRunEnd, Substrate::kSemisync, -1, 17, 1, 0b1010);
   }
 
@@ -177,9 +147,6 @@ TEST(Jsonl, WriterThenReaderRoundTripsExactly) {
                        Substrate::kSemisync));
   EXPECT_EQ(trace.events[2].b, static_cast<std::uint64_t>(-7));
   EXPECT_EQ(trace.events[3].proc, -1);
-  ASSERT_EQ(trace.logs.size(), 1u);
-  EXPECT_EQ(trace.logs[0].first, 1);
-  EXPECT_EQ(trace.logs[0].second, "line with \"quotes\" and\nnewline");
 
   // write_trace(read_trace(x)) is byte-stable.
   std::ostringstream os2;
@@ -187,7 +154,6 @@ TEST(Jsonl, WriterThenReaderRoundTripsExactly) {
   std::istringstream is2(os2.str());
   const Trace again = read_trace(is2);
   EXPECT_EQ(again.events, trace.events);
-  EXPECT_EQ(again.logs, trace.logs);
   EXPECT_EQ(again.git_rev, trace.git_rev);
 }
 
@@ -326,42 +292,49 @@ std::string located_rejection_of(const std::string& text) {
   return at == std::string::npos ? what : what.substr(at);
 }
 
+/// The note read_trace appends when trace line `lineno` does not end in
+/// '}'.
+std::string torn_at(int lineno) {
+  return "\n  (trace line " + std::to_string(lineno) +
+         " does not end in '}': likely a torn line from a "
+         "concurrent/interrupted append)";
+}
+
 TEST(Jsonl, RejectionDetailsAreGolden) {
   // Every scanner branch and grammar check of the reader, pinned byte
   // for byte from "trace line" on. Lines 2+ follow a valid meta line.
   const std::string meta = "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n";
-  const std::string torn =
-      "\n  (trace line 2 does not end in '}': likely a torn line from a "
-      "concurrent/interrupted append)";
+  const std::string meta_crlf =
+      "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\r\n";
   const std::pair<std::string, std::string> cases[] = {
-      {meta + R"({"kind":"log","level":0,"msg":"\q"})",
-       "trace line 2 col 34: unsupported escape"},
-      {meta + R"({"kind":"log","level":0,"msg":"\u0})",
-       "trace line 2 col 34: truncated \\u escape"},
-      {meta + R"({"kind":"log","level":0,"msg":"\u00zz"})",
-       "trace line 2 col 37: bad \\u escape"},
-      {meta + R"({"kind":"log","level":0,"msg":"\u00e9"})",
-       "trace line 2 col 38: non-ASCII \\u escape"},
-      {meta + R"({"kind":"log","level":0,"msg":"m\)",
-       "trace line 2 col 34: dangling escape" + torn},
-      {meta + R"({"kind","log"})", "trace line 2 col 8: expected ':'"},
-      {meta + R"({"kind":"log","level":0,"msg":"m","x":1})",
-       "trace line 2 col 34: expected '}'"},
-      {meta + R"({"kind":"log","level":0,"msg":"m"}x})",
-       "trace line 2 col 35: trailing characters"},
-      {meta + R"({"kind":"log","level":0,"msg":"m"}x)",
-       "trace line 2 col 35: trailing characters" + torn},
-      {meta + R"({"kind":"log","level":"0","msg":"m"})",
-       "trace line 2 col 23: expected integer"},
-      {meta + R"({"kind":"log","level":-x,"msg":"m"})",
-       "trace line 2 col 24: expected integer"},
+      {R"({"schema":"rrfd-trace-v1","git_rev":"\q"})",
+       "trace line 1 col 40: unsupported escape"},
+      {R"({"schema":"rrfd-trace-v1","git_rev":"\u0})",
+       "trace line 1 col 40: truncated \\u escape"},
+      {R"({"schema":"rrfd-trace-v1","git_rev":"\u00zz"})",
+       "trace line 1 col 43: bad \\u escape"},
+      {R"({"schema":"rrfd-trace-v1","git_rev":"\u00e9"})",
+       "trace line 1 col 44: non-ASCII \\u escape"},
+      {R"({"schema":"rrfd-trace-v1","git_rev":"x\)",
+       "trace line 1 col 40: dangling escape" + torn_at(1)},
+      {meta + R"({"kind","emit"})", "trace line 2 col 8: expected ':'"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":0,"b":0,"x":1})",
+       "trace line 2 col 54: expected '}'"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":0,"b":0}x})",
+       "trace line 2 col 55: trailing characters"},
+      {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":0,"b":0}x)",
+       "trace line 2 col 55: trailing characters" + torn_at(2)},
+      {meta + R"({"kind":"emit","sub":"engine","p":"0","r":1,"a":0,"b":0})",
+       "trace line 2 col 35: expected integer"},
+      {meta + R"({"kind":"emit","sub":"engine","p":-x,"r":1,"a":0,"b":0})",
+       "trace line 2 col 36: expected integer"},
       {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":-1,"b":0})",
        "trace line 2 col 47: expected unsigned integer"},
       {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,)"
               R"("a":18446744073709551616,"b":0})",
        "trace line 2 col 67: integer overflow"},
-      {meta + R"({kind:"log"})", "trace line 2 col 2: expected '\"'"},
-      {meta + R"(["kind":"log"})", "trace line 2 col 1: expected '{'"},
+      {meta + R"({kind:"emit"})", "trace line 2 col 2: expected '\"'"},
+      {meta + R"(["kind":"emit"})", "trace line 2 col 1: expected '{'"},
       {R"({"git_rev":"x","schema":"rrfd-trace-v1"})",
        "trace line 1 col 12: first line must carry the schema"},
       {R"({"schema":"rrfd-trace-v2","git_rev":"x"})",
@@ -370,13 +343,13 @@ TEST(Jsonl, RejectionDetailsAreGolden) {
        "trace line 1 col 33: expected git_rev"},
       {R"({"schema":"rrfd-trace-v1","git_rev":"x","y":1})",
        "trace line 1 col 40: expected '}'"},
-      {"# comment\n" + std::string(R"({"kind":"log","level":0,"msg":"m"})"),
+      {"# comment\n" +
+           std::string(
+               R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":0,"b":0})"),
        "trace line 2 col 2: events before the schema line"},
       {meta + R"({"sub":"engine"})", "trace line 2 col 8: expected kind"},
-      {meta + R"({"kind":"log","msg":"m"})",
-       "trace line 2 col 21: expected level"},
-      {meta + R"({"kind":"log","level":0,"text":"m"})",
-       "trace line 2 col 32: expected msg"},
+      {meta + R"({"kind":"log","level":0,"msg":"m"})",
+       "trace line 2 col 14: unknown event kind 'log'"},
       {meta + R"({"kind":"emit","p":0})", "trace line 2 col 20: expected sub"},
       {meta + R"({"kind":"emit","sub":"engine","r":1})",
        "trace line 2 col 35: expected p"},
@@ -386,6 +359,15 @@ TEST(Jsonl, RejectionDetailsAreGolden) {
        "trace line 2 col 47: expected a"},
       {meta + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":0,"c":0})",
        "trace line 2 col 53: expected b"},
+      // A CRLF line loses its '\r' before it is scanned: only a missing
+      // '}' makes it torn.
+      {meta_crlf + R"({"kind":"emit","sub":"engine","p":0,"r":1,"a":0,"b":0)"
+                   "\r",
+       "trace line 2 col 54: expected '}'" + torn_at(2)},
+      {meta_crlf +
+           R"({"kind":"emit","sub":"engine","p":"0","r":1,"a":0,"b":0})"
+           "\r",
+       "trace line 2 col 35: expected integer"},
   };
   for (const auto& [text, expected] : cases) {
     EXPECT_EQ(located_rejection_of(text + "\n"), expected) << text;
@@ -393,47 +375,40 @@ TEST(Jsonl, RejectionDetailsAreGolden) {
 }
 
 TEST(Jsonl, ControlCharactersRoundTrip) {
-  // A log message is the one free-text field of a trace: control bytes
-  // are written as \u00xx (or \t), quotes and backslashes escaped, and
+  // git_rev is the one free-text field of a trace: control bytes are
+  // written as \u00xx (or \n, \t), quotes and backslashes escaped, and
   // the reader decodes them back to the same bytes.
-  const std::string msg = "a\x01 b\tc\"d\\e\x1f";
+  Trace trace;
+  trace.schema = kTraceSchema;
+  trace.git_rev = "a\x01 b\tc\"d\\e\x1f\nf";
   std::ostringstream os;
-  {
-    JsonlWriter writer(os);
-    writer.on_log(2, msg);
-  }
+  write_trace(os, trace);
   const std::string text = os.str();
-  EXPECT_NE(text.find(R"({"kind":"log","level":2,"msg":"a\u0001 b\tc\"d\\e\u001f"})"
-                      "\n"),
-            std::string::npos)
-      << text;
+  EXPECT_EQ(text, R"({"schema":"rrfd-trace-v1","git_rev":)"
+                  R"("a\u0001 b\tc\"d\\e\u001f\nf"})"
+                  "\n");
   std::istringstream is(text);
-  const Trace trace = read_trace(is);
-  ASSERT_EQ(trace.logs.size(), 1u);
-  EXPECT_EQ(trace.logs[0].second, msg);
+  EXPECT_EQ(read_trace(is).git_rev, trace.git_rev);
 }
 
 TEST(Jsonl, InterTokenWhitespaceIsAccepted) {
   // Python's json.dumps writes ": " and ", "; spaces and tabs before a
   // token carry no information. The writer itself never emits them.
   const std::string spaced =
-      "{\"schema\": \"rrfd-trace-v1\", \"git_rev\": \"x\"}\n"
+      "{ \"schema\" : \"rrfd-trace-v1\" , \"git_rev\" : \"x \" }\n"
       " {\"kind\": \"emit\",\t\"sub\": \"engine\", \"p\": -1, \"r\": 2,"
-      " \"a\": 3, \"b\": 4 } \n"
-      "{ \"kind\" : \"log\" , \"level\" : 1 , \"msg\" : \"m \" }\n";
+      " \"a\": 3, \"b\": 4 } \n";
   std::istringstream is(spaced);
   const Trace trace = read_trace(is);
   ASSERT_EQ(trace.events.size(), 1u);
   EXPECT_EQ(trace.events[0], make_event(EventKind::kEmit, -1, 2, 3, 4));
-  ASSERT_EQ(trace.logs.size(), 1u);
-  EXPECT_EQ(trace.logs[0].second, "m ");
+  EXPECT_EQ(trace.git_rev, "x ");
   std::ostringstream os;
   write_trace(os, trace);
   EXPECT_EQ(os.str(),
-            "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n"
+            "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x \"}\n"
             "{\"kind\":\"emit\",\"sub\":\"engine\",\"p\":-1,\"r\":2,\"a\":3,"
-            "\"b\":4}\n"
-            "{\"kind\":\"log\",\"level\":1,\"msg\":\"m \"}\n");
+            "\"b\":4}\n");
   // Columns still count every byte, the skipped ones included.
   EXPECT_EQ(located_rejection_of(
                 "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n"
@@ -445,23 +420,47 @@ TEST(Jsonl, InterTokenWhitespaceIsAccepted) {
             "trace line 2 col 25: unknown substrate 'bogus'");
 }
 
-/// A trace whose second line carries `value` in `field` (p, r or level)
-/// and legal values everywhere else.
+TEST(Jsonl, CrlfCopyReadsToTheSameTrace) {
+  // A trace that passed through a CRLF tool keeps its records; only the
+  // line ending differs.
+  std::ostringstream os;
+  {
+    JsonlWriter writer(os);
+    ScopedTrace attach(&writer);
+    record(EventKind::kRunBegin, Substrate::kEngine, 3, 0, 2, 1);
+    record(EventKind::kAnnounce, Substrate::kEngine, 1, 1, 0b101);
+    record(EventKind::kRunEnd, Substrate::kEngine, -1, 2, 1, 0);
+  }
+  std::string crlf;
+  for (const char c : os.str()) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::istringstream lf_is(os.str());
+  std::istringstream crlf_is(crlf);
+  const Trace original = read_trace(lf_is);
+  const Trace copy = read_trace(crlf_is);
+  ASSERT_EQ(original.events.size(), 3u);
+  EXPECT_EQ(copy.schema, original.schema);
+  EXPECT_EQ(copy.git_rev, original.git_rev);
+  EXPECT_EQ(copy.events, original.events);
+}
+
+/// A trace whose second line carries `value` in `field` (p or r) and
+/// legal values everywhere else.
 std::string trace_with(const std::string& field, const std::string& value) {
   const std::string event =
-      field == "level"
-          ? "{\"kind\":\"log\",\"level\":" + value + ",\"msg\":\"m\"}"
-          : "{\"kind\":\"round_start\",\"sub\":\"engine\",\"p\":" +
-                (field == "p" ? value : "-1") + ",\"r\":" +
-                (field == "r" ? value : "1") + ",\"a\":0,\"b\":0}";
+      "{\"kind\":\"round_start\",\"sub\":\"engine\",\"p\":" +
+      (field == "p" ? value : "-1") + ",\"r\":" +
+      (field == "r" ? value : "1") + ",\"a\":0,\"b\":0}";
   return "{\"schema\":\"rrfd-trace-v1\",\"git_rev\":\"x\"}\n" + event +
          "\n";
 }
 
 TEST(Jsonl, ParserRejectsIntegersOutsideInt32NamingTheField) {
-  // p, r and level are stored as int32_t; narrowing 4294967297 to 1
-  // would accept a line that cannot round-trip.
-  for (const std::string field : {"p", "r", "level"}) {
+  // p and r are stored as int32_t; narrowing 4294967297 to 1 would
+  // accept a line that cannot round-trip.
+  for (const std::string field : {"p", "r"}) {
     for (const std::string value :
          {"2147483648", "-2147483649", "4294967297", "99999999999999999999"}) {
       std::istringstream is(trace_with(field, value));
@@ -479,52 +478,20 @@ TEST(Jsonl, ParserRejectsIntegersOutsideInt32NamingTheField) {
 }
 
 TEST(Jsonl, ParserAcceptsInt32BoundsAndRoundTripsThem) {
-  for (const std::string field : {"p", "r", "level"}) {
+  for (const std::string field : {"p", "r"}) {
     for (const std::string value : {"2147483647", "-2147483648"}) {
       std::istringstream is(trace_with(field, value));
       const Trace trace = read_trace(is);
-      const int parsed = field == "level" ? trace.logs.at(0).first
-                         : field == "p"   ? trace.events.at(0).proc
-                                          : trace.events.at(0).round;
+      const int parsed = field == "p" ? trace.events.at(0).proc
+                                      : trace.events.at(0).round;
       EXPECT_EQ(parsed, std::stoll(value)) << field;
       std::ostringstream os;
       write_trace(os, trace);
       std::istringstream again(os.str());
       const Trace reread = read_trace(again);
       EXPECT_EQ(reread.events, trace.events) << field << "=" << value;
-      EXPECT_EQ(reread.logs, trace.logs) << field << "=" << value;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Log routing through the trace sink (satellite: injectable log sink)
-// ---------------------------------------------------------------------------
-
-TEST(LogForwarding, LogLinesLandInTheTraceWhenForwarded) {
-  struct LogCapture final : TraceSink {
-    void on_event(const TraceEvent&) override {}
-    void on_log(int level, const std::string& msg) override {
-      lines.emplace_back(level, msg);
-    }
-    std::vector<std::pair<int, std::string>> lines;
-  };
-
-  const LogLevel saved_level = Log::level();
-  Log::set_level(LogLevel::kInfo);
-  forward_logs_to_trace();
-
-  LogCapture capture;
-  {
-    ScopedTrace attach(&capture);
-    log_info("routed 42");
-    log_debug("suppressed by level");
-  }
-  Log::set_sink(nullptr);
-  Log::set_level(saved_level);
-
-  ASSERT_EQ(capture.lines.size(), 1u);
-  EXPECT_EQ(capture.lines[0].second, "routed 42");
 }
 
 }  // namespace

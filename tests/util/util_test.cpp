@@ -1,16 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/check.h"
-#include "util/log.h"
 #include "util/str.h"
 
 namespace rrfd {
@@ -109,6 +105,8 @@ TEST(Check, RequireThrowsWithLocation) {
     EXPECT_NE(what.find("precondition"), std::string::npos);
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("util_test.cpp"), std::string::npos);
+    // message() is the same check without its location.
+    EXPECT_EQ(e.message(), "precondition failed: (1 == 2)");
   }
 }
 
@@ -119,6 +117,7 @@ TEST(Check, RequireMsgCarriesTheMessage) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("the detector lied"),
               std::string::npos);
+    EXPECT_EQ(e.message(), "the detector lied");
   }
 }
 
@@ -135,164 +134,6 @@ TEST(Check, PassingChecksAreSilent) {
   EXPECT_NO_THROW(RRFD_REQUIRE(true));
   EXPECT_NO_THROW(RRFD_ENSURE(2 + 2 == 4));
   EXPECT_NO_THROW(RRFD_REQUIRE_MSG(true, "unused"));
-}
-
-// ---------------------------------------------------------------------------
-// log
-// ---------------------------------------------------------------------------
-
-class LogLevelGuard {
- public:
-  LogLevelGuard() : saved_(Log::level()) {}
-  ~LogLevelGuard() { Log::set_level(saved_); }
-
- private:
-  LogLevel saved_;
-};
-
-TEST(Logging, OffByDefault) {
-  LogLevelGuard guard;
-  EXPECT_EQ(Log::level(), LogLevel::kOff);
-}
-
-TEST(Logging, LevelsFilter) {
-  LogLevelGuard guard;
-  Log::set_level(LogLevel::kInfo);
-  // kInfo enabled, kDebug filtered: verify via stderr capture.
-  testing::internal::CaptureStderr();
-  log_info("visible");
-  log_debug("hidden");
-  const std::string out = testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("visible"), std::string::npos);
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-}
-
-TEST(Logging, TraceIncludesEverything) {
-  LogLevelGuard guard;
-  Log::set_level(LogLevel::kTrace);
-  testing::internal::CaptureStderr();
-  log_info("a");
-  log_debug("b");
-  log_trace("c");
-  const std::string out = testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("a"), std::string::npos);
-  EXPECT_NE(out.find("b"), std::string::npos);
-  EXPECT_NE(out.find("c"), std::string::npos);
-}
-
-TEST(Logging, OffSuppressesAll) {
-  LogLevelGuard guard;
-  Log::set_level(LogLevel::kOff);
-  testing::internal::CaptureStderr();
-  log_info("x");
-  log_trace("y");
-  EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
-}
-
-namespace {
-std::vector<std::pair<LogLevel, std::string>>* g_captured_lines = nullptr;
-}  // namespace
-
-TEST(Logging, InjectedSinkReceivesLinesInsteadOfStderr) {
-  LogLevelGuard guard;
-  Log::set_level(LogLevel::kInfo);
-
-  std::vector<std::pair<LogLevel, std::string>> lines;
-  g_captured_lines = &lines;
-  Log::Sink previous = Log::set_sink(+[](LogLevel level, const std::string& msg) {
-    g_captured_lines->emplace_back(level, msg);
-  });
-  EXPECT_EQ(previous, nullptr);  // default sink is represented as nullptr
-
-  testing::internal::CaptureStderr();
-  log_info("captured");
-  log_debug("filtered before the sink");
-  const std::string stderr_out = testing::internal::GetCapturedStderr();
-
-  Log::set_sink(nullptr);
-  g_captured_lines = nullptr;
-
-  EXPECT_TRUE(stderr_out.empty());  // nothing leaked to the default writer
-  ASSERT_EQ(lines.size(), 1u);      // level filtering happens before sinks
-  EXPECT_EQ(lines[0].first, LogLevel::kInfo);
-  EXPECT_EQ(lines[0].second, "captured");
-
-  // Detaching restores the stderr writer.
-  testing::internal::CaptureStderr();
-  log_info("back to stderr");
-  EXPECT_NE(testing::internal::GetCapturedStderr().find("back to stderr"),
-            std::string::npos);
-}
-
-TEST(Logging, LevelAndSinkAreSafeUnderConcurrentToggling) {
-  // The level and sink live in atomics precisely so concurrent writers and
-  // a toggling thread do not race. This is a smoke test (a real data race
-  // would need TSan to surface deterministically), but it pins the API
-  // contract: logging while another thread flips the level must not crash
-  // or tear.
-  LogLevelGuard guard;
-  testing::internal::CaptureStderr();
-  std::atomic<bool> stop{false};
-  std::thread toggler([&] {
-    for (int k = 0; k < 1000; ++k) {
-      Log::set_level(k % 2 == 0 ? LogLevel::kOff : LogLevel::kInfo);
-    }
-    stop.store(true);
-  });
-  int writes = 0;
-  while (!stop.load()) {
-    log_info("ping");
-    ++writes;
-  }
-  toggler.join();
-  Log::set_level(LogLevel::kOff);
-  testing::internal::GetCapturedStderr();
-  EXPECT_GE(writes, 0);
-}
-
-namespace {
-std::atomic<int> g_swap_count_a{0};
-std::atomic<int> g_swap_count_b{0};
-void swap_count_a(LogLevel, const std::string&) { ++g_swap_count_a; }
-void swap_count_b(LogLevel, const std::string&) { ++g_swap_count_b; }
-}  // namespace
-
-TEST(Logging, SinkSwapUnderConcurrentWritersIsRaceFree) {
-  // The sink slot is an atomic captureless function pointer: installing a
-  // new sink while writer threads emit through the old one must be free
-  // of data races (this suite runs under TSan in CI). Both sinks stay
-  // valid for the whole test, so a writer that loads the old pointer
-  // right before a swap still calls into live code -- that is the
-  // documented contract, and why sinks must not be destroyed while
-  // in use.
-  LogLevelGuard guard;
-  Log::set_level(LogLevel::kInfo);
-  g_swap_count_a = 0;
-  g_swap_count_b = 0;
-  Log::Sink saved = Log::set_sink(swap_count_a);
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  writers.reserve(4);
-  for (int w = 0; w < 4; ++w) {
-    writers.emplace_back([&stop] {
-      while (!stop.load()) log_info("ping");
-    });
-  }
-  for (int k = 0; k < 2000; ++k) {
-    Log::set_sink(k % 2 == 0 ? swap_count_b : swap_count_a);
-  }
-  // The swap loop can finish before the writer threads are scheduled at
-  // all; hold the test open until at least one write landed so the
-  // assertion below is not a coin flip.
-  while (g_swap_count_a.load() + g_swap_count_b.load() == 0) {
-    std::this_thread::yield();
-  }
-  stop.store(true);
-  for (std::thread& t : writers) t.join();
-  Log::set_sink(saved);
-
-  EXPECT_GT(g_swap_count_a.load() + g_swap_count_b.load(), 0);
 }
 
 }  // namespace
