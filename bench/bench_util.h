@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "rrfd_git_rev.h"  // generated: RRFD_GIT_REV
 #include "sweep/sweep.h"
 #include "util/json.h"
 #include "util/str.h"
@@ -160,10 +161,6 @@ class CapturingReporter : public Base {
 };
 
 }  // namespace detail
-
-#ifndef RRFD_GIT_REV
-#define RRFD_GIT_REV "unknown"
-#endif
 
 namespace detail {
 

@@ -10,7 +10,8 @@
 // fixes the only committable value, commits can't diverge.
 #pragma once
 
-#include <set>
+#include <optional>
+#include <vector>
 
 #include "shm/registers.h"
 #include "util/check.h"
@@ -36,26 +37,31 @@ class AdoptCommit {
   int n() const { return round1_.n(); }
 
   AdoptCommitResult run(runtime::Context& ctx, int proposal) {
+    // Each array is read cell by cell in index order: the n steps of a
+    // collect(), without building its vector.
     // -- Round 1: publish the proposal, look for unanimity. --------------
     round1_.write(ctx, proposal);
-    std::set<int> seen;
-    for (const auto& cell : round1_.collect(ctx)) {
-      if (cell) seen.insert(*cell);
+    std::optional<int> first;
+    bool unanimous = true;
+    for (core::ProcId j = 0; j < n(); ++j) {
+      const std::optional<int> cell = round1_.read(ctx, j);
+      if (!cell) continue;
+      if (!first) {
+        first = *cell;
+      } else if (*cell != *first) {
+        unanimous = false;
+      }
     }
-    RRFD_ENSURE(!seen.empty());  // at least our own write
+    RRFD_ENSURE(first.has_value());  // at least our own write
 
-    Tagged mine;
-    if (seen.size() == 1) {
-      mine = Tagged{/*commit=*/true, *seen.begin()};
-    } else {
-      mine = Tagged{/*commit=*/false, proposal};
-    }
-    round2_.write(ctx, mine);
+    round2_.write(ctx, unanimous ? Tagged{/*commit=*/true, *first}
+                                 : Tagged{/*commit=*/false, proposal});
 
     // -- Round 2: a commit seen anywhere forces convergence. -------------
     bool all_commit_v = true;
     std::optional<int> committed;
-    for (const auto& cell : round2_.collect(ctx)) {
+    for (core::ProcId j = 0; j < n(); ++j) {
+      const std::optional<Tagged> cell = round2_.read(ctx, j);
       if (!cell) continue;
       if (cell->commit) {
         RRFD_ENSURE_MSG(!committed || *committed == cell->value,

@@ -1,26 +1,31 @@
 #include "runtime/explorer.h"
 
+#include <bit>
+
+#include "core/words.h"
 #include "trace/trace.h"
 #include "util/check.h"
 
 namespace rrfd::runtime {
 
+Scheduler::Choice ScheduleExplorer::Node::choice(int k) const {
+  if (k < steps) return {core::nth_set_bit(runnable, k), false};
+  return {core::nth_set_bit(runnable, k - steps), true};
+}
+
 Scheduler::Choice ScheduleExplorer::TreeScheduler::pick(
     const ProcessSet& runnable, int /*step*/) {
   RRFD_REQUIRE(!runnable.empty());
   if (depth_ == path_.size()) {
-    // New decision point: enumerate all alternatives (steps first, then
-    // crashes within the remaining budget) and take the first.
-    Node node;
-    for (ProcId p : runnable.members()) node.alternatives.push_back({p, false});
-    if (crashes_ < max_crashes_) {
-      for (ProcId p : runnable.members()) node.alternatives.push_back({p, true});
-    }
-    path_.push_back(std::move(node));
+    // New decision point: every runnable process's step, then, within the
+    // remaining budget, its crash; the run takes the first.
+    const int steps = runnable.size();
+    path_.push_back({runnable.bits(), steps,
+                     crashes_ < max_crashes_ ? 2 * steps : steps, 0});
   }
   const Node& node = path_[depth_];
-  RRFD_ENSURE(node.chosen < node.alternatives.size());
-  Choice c = node.alternatives[node.chosen];
+  RRFD_ENSURE(node.chosen < node.alternatives);
+  const Choice c = node.choice(node.chosen);
   // Replay consistency: the tree must be deterministic under replay.
   RRFD_ENSURE_MSG(runnable.contains(c.next),
                   "nondeterministic simulation: replayed choice not runnable");
@@ -40,7 +45,13 @@ std::vector<Scheduler::Choice> ScheduleExplorer::root_alternatives(
   TreeScheduler scheduler(path, options_.max_crashes);
   run_one(scheduler);
   if (path.empty()) return {};
-  return path.front().alternatives;
+  const Node& root = path.front();
+  std::vector<Scheduler::Choice> alternatives;
+  alternatives.reserve(static_cast<std::size_t>(root.alternatives));
+  for (int k = 0; k < root.alternatives; ++k) {
+    alternatives.push_back(root.choice(k));
+  }
+  return alternatives;
 }
 
 ScheduleExplorer::Stats ScheduleExplorer::explore_shard(
@@ -56,10 +67,25 @@ ScheduleExplorer::Stats ScheduleExplorer::explore_shard(
   // prefix depth) byte-identical to the serial stream.
   std::vector<Node> path;
   if (shard > 0) {
+    // The flat node holds only what root_alternatives() returns: each
+    // runnable process's step by id, then possibly each one's crash.
     Node node;
-    node.alternatives = root;
-    node.chosen = shard;
-    path.push_back(std::move(node));
+    for (const Scheduler::Choice& c : root) {
+      RRFD_REQUIRE(0 <= c.next && c.next < core::kMaxProcesses);
+      node.runnable |= std::uint64_t{1} << c.next;
+    }
+    node.steps = std::popcount(node.runnable);
+    node.alternatives = static_cast<int>(root.size());
+    node.chosen = static_cast<int>(shard);
+    bool same = node.alternatives == node.steps ||
+                node.alternatives == 2 * node.steps;
+    for (int k = 0; same && k < node.alternatives; ++k) {
+      const Scheduler::Choice c = node.choice(k);
+      const Scheduler::Choice& given = root[static_cast<std::size_t>(k)];
+      same = c.next == given.next && c.crash == given.crash;
+    }
+    RRFD_REQUIRE_MSG(same, "root is not a list root_alternatives() returned");
+    path.push_back(node);
   }
   return explore_impl(std::move(path), /*frozen=*/1, first_ordinal, run_one);
 }
@@ -103,7 +129,7 @@ ScheduleExplorer::Stats ScheduleExplorer::explore_impl(
     // Backtrack: advance the deepest unpinned node with an unexplored
     // alternative.
     while (path.size() > frozen &&
-           path.back().chosen + 1 >= path.back().alternatives.size()) {
+           path.back().chosen + 1 >= path.back().alternatives) {
       path.pop_back();
     }
     if (path.size() <= frozen) {

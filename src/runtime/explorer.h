@@ -9,6 +9,13 @@
 // choices, so safety properties are checked against every interleaving
 // *and* every crash placement (up to the budget).
 //
+// A decision point is stored flat: the runnable mask, its size, the
+// alternative count and the chosen index. The alternatives are each
+// runnable process's step by id, then (within the crash budget) each
+// one's crash, so a replay decodes its choice from the mask without
+// building a list. Replaying a schedule allocates nothing here; the path
+// vector grows only when the tree gets deeper than any run before.
+//
 // The DFS tree can also be partitioned by its first decision: discover
 // the root alternatives with root_alternatives(), then explore each
 // root-fixed subtree independently with explore_shard(). The shards are
@@ -19,10 +26,11 @@
 // explore_sharded (src/sweep) fans the shards across a thread pool.
 //
 // Exhaustive exploration is exponential; it is meant for small instances
-// (n <= 3, short protocols) as in tests/shm/adopt_commit_test.cpp, which
-// model-checks the paper's Section 4.2 protocol.
+// (n <= 3, short protocols) as in tests/agreement/adopt_commit_test.cpp,
+// which model-checks the paper's Section 4.2 protocol.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "runtime/sim.h"
@@ -70,9 +78,19 @@ class ScheduleExplorer {
                       long first_ordinal = 0);
 
  private:
+  /// One decision point, as a flat value: the runnable set the run reached
+  /// it with, that set's size, the number of alternatives and the chosen
+  /// one. Alternative k < steps steps the k-th runnable process by id; the
+  /// next `steps` alternatives, present while the crash budget lasts, crash
+  /// them in the same order. Storing `steps` spares a replayed pick the
+  /// popcount.
   struct Node {
-    std::vector<Scheduler::Choice> alternatives;
-    std::size_t chosen = 0;
+    std::uint64_t runnable = 0;
+    int steps = 0;
+    int alternatives = 0;
+    int chosen = 0;
+
+    Scheduler::Choice choice(int k) const;
   };
 
   /// Scheduler used for one replayed run; records new decision points.

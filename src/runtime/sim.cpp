@@ -1,5 +1,7 @@
 #include "runtime/sim.h"
 
+#include <algorithm>
+
 #include "runtime/fiber.h"
 #include "trace/trace.h"
 #include "util/check.h"
@@ -14,14 +16,12 @@ Simulation::Simulation(int n, Body body) {
   RRFD_REQUIRE(0 < n && n <= core::kMaxProcesses);
   RRFD_REQUIRE(body != nullptr);
   bodies_.assign(static_cast<std::size_t>(n), body);
-  crash_flags_.assign(static_cast<std::size_t>(n), false);
 }
 
 Simulation::Simulation(std::vector<Body> bodies) : bodies_(std::move(bodies)) {
   RRFD_REQUIRE(!bodies_.empty() &&
                static_cast<int>(bodies_.size()) <= core::kMaxProcesses);
   for (const Body& b : bodies_) RRFD_REQUIRE(b != nullptr);
-  crash_flags_.assign(bodies_.size(), false);
 }
 
 Simulation::~Simulation() {
@@ -44,11 +44,11 @@ void Simulation::process_main(ProcId id) noexcept {
 
 void Simulation::process_step(ProcId id) {
   fibers_->yield(id);
-  if (crash_flags_[static_cast<std::size_t>(id)]) throw Crashed{};
+  if ((crash_flags_ >> id) & 1) throw Crashed{};
 }
 
 void Simulation::crash(ProcId id) {
-  crash_flags_[static_cast<std::size_t>(id)] = true;
+  crash_flags_ |= std::uint64_t{1} << id;
   // A process that never ran has no body code to unwind.
   if (fibers_->started(id)) fibers_->resume(id);  // step() throws Crashed
 }
@@ -64,6 +64,9 @@ SimOutcome Simulation::run(Scheduler& scheduler, int max_steps) {
       this);
 
   SimOutcome outcome(count);
+  // Room for every process to take 64 steps; a longer run grows it.
+  outcome.schedule.reserve(
+      static_cast<std::size_t>(std::clamp(max_steps, 0, 64 * count)));
 
   // Flight recorder: every scheduler choice and crash injection becomes a
   // trace event, so a recorded schedule can be replayed verbatim through a
@@ -80,7 +83,7 @@ SimOutcome Simulation::run(Scheduler& scheduler, int max_steps) {
     if (outcome.steps >= max_steps) {
       // Budget-forced crashes are wind-down, not scheduler choices; they
       // are deliberately not traced so a replayed schedule stays faithful.
-      for (ProcId p : runnable.members()) crash(p);
+      for (ProcId p : runnable) crash(p);
       throw StepBudgetExhausted(max_steps);
     }
 

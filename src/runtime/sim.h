@@ -17,6 +17,7 @@
 // exactly like a crash in the asynchronous shared-memory model.
 #pragma once
 
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -132,7 +133,7 @@ class Simulation {
   void crash(ProcId id);
 
   std::vector<Body> bodies_;
-  std::vector<bool> crash_flags_;
+  std::uint64_t crash_flags_ = 0;  // bit p: p was crashed
   std::exception_ptr first_error_;
   std::unique_ptr<detail::FiberSet> fibers_;  // created by run()
 };

@@ -15,7 +15,7 @@
 // but never stored: a transient failure must not poison the key.
 //
 // Unknown-rev refusal: a binary built outside git stamps its traces
-// `unknown` (trace.cpp's RRFD_GIT_REV fallback). Two *different* builds
+// `unknown` (src/trace/git_rev.cmake's fallback). Two *different* builds
 // would then share every cache key -- stale results served across
 // revisions. A cache constructed with rev "unknown" therefore refuses
 // to store or join anything: every submission is a kBypass that the

@@ -166,7 +166,7 @@ void Server::submit_line(const std::string& line, const LineSink& sink) {
     req = parse_request(line);
   } catch (const WireError& e) {
     ++im.wire_errors;
-    sink(error_line("", error_code_name(e.code()), e.detail()));
+    sink(error_line(e.id(), error_code_name(e.code()), e.detail()));
     return;
   }
 

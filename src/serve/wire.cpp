@@ -143,52 +143,9 @@ class Fields {
   std::vector<Field> fields_;
 };
 
-}  // namespace
-
-const char* error_code_name(ErrorCode code) {
-  const auto idx = static_cast<std::size_t>(code);
-  RRFD_REQUIRE(idx < std::size(kErrorNames));
-  return kErrorNames[idx];
-}
-
-Request parse_request(const std::string& line) {
-  // Torn-line guard first: a line that does not close its object is the
-  // signature of an interleaved or interrupted append (same heuristic as
-  // the trace reader), and gets its own name so clients can tell a
-  // framing failure from a malformed-but-whole request.
-  std::size_t end = line.size();
-  while (end > 0 && (line[end - 1] == ' ' || line[end - 1] == '\r')) --end;
-  if (end == 0 || line[end - 1] != '}') {
-    fail(ErrorCode::kTornLine,
-         "line does not end in '}': likely a torn line from a "
-         "concurrent/interrupted append");
-  }
-
-  Fields fields(std::string_view(line).substr(0, end));
-
-  if (!fields.has("schema")) {
-    fail(ErrorCode::kBadVersion, "request carries no schema field");
-  }
-  const std::string schema = fields.str("schema");
-  if (schema != kJobSchema) {
-    fail(ErrorCode::kBadVersion, "unsupported schema '" + schema +
-                                     "' (this server speaks " +
-                                     std::string(kJobSchema) + ")");
-  }
-
-  Request req;
-  const std::string op = fields.str("op");
-  if (op == "stats") {
-    req.op = Op::kStats;
-    fields.finish();
-    return req;
-  }
-  if (op != "submit") {
-    fail(ErrorCode::kUnknownOp, "unknown op '" + op + "'");
-  }
-  req.op = Op::kSubmit;
-  req.client = fields.str("client");
-  req.id = fields.str("id");
+/// The rest of a submit request after its client and id: the checks of
+/// its kind, then that no field is left unread.
+void parse_submit(Fields& fields, Request& req) {
   if (req.client.empty() || req.id.empty()) {
     fail(ErrorCode::kBadValue, "client and id must be non-empty");
   }
@@ -243,6 +200,60 @@ Request parse_request(const std::string& line) {
   }
 
   fields.finish();
+}
+
+}  // namespace
+
+const char* error_code_name(ErrorCode code) {
+  const auto idx = static_cast<std::size_t>(code);
+  RRFD_REQUIRE(idx < std::size(kErrorNames));
+  return kErrorNames[idx];
+}
+
+Request parse_request(const std::string& line) {
+  // Torn-line guard first: a line that does not close its object is the
+  // signature of an interleaved or interrupted append (same heuristic as
+  // the trace reader), and gets its own name so clients can tell a
+  // framing failure from a malformed-but-whole request.
+  std::size_t end = line.size();
+  while (end > 0 && (line[end - 1] == ' ' || line[end - 1] == '\r')) --end;
+  if (end == 0 || line[end - 1] != '}') {
+    fail(ErrorCode::kTornLine,
+         "line does not end in '}': likely a torn line from a "
+         "concurrent/interrupted append");
+  }
+
+  Fields fields(std::string_view(line).substr(0, end));
+
+  if (!fields.has("schema")) {
+    fail(ErrorCode::kBadVersion, "request carries no schema field");
+  }
+  const std::string schema = fields.str("schema");
+  if (schema != kJobSchema) {
+    fail(ErrorCode::kBadVersion, "unsupported schema '" + schema +
+                                     "' (this server speaks " +
+                                     std::string(kJobSchema) + ")");
+  }
+
+  Request req;
+  const std::string op = fields.str("op");
+  if (op == "stats") {
+    req.op = Op::kStats;
+    fields.finish();
+    return req;
+  }
+  if (op != "submit") {
+    fail(ErrorCode::kUnknownOp, "unknown op '" + op + "'");
+  }
+  req.op = Op::kSubmit;
+  req.client = fields.str("client");
+  req.id = fields.str("id");
+  // From here on a rejection names the request it refuses.
+  try {
+    parse_submit(fields, req);
+  } catch (const WireError& e) {
+    throw WireError(e.code(), e.detail(), req.id);
+  }
   return req;
 }
 

@@ -51,18 +51,22 @@ enum class ErrorCode : std::uint8_t {
 
 const char* error_code_name(ErrorCode code);
 
-/// Thrown by parse_request; carries the named code plus a human detail.
+/// Thrown by parse_request; carries the named code plus a human detail,
+/// and the request's id once the parser has read a non-empty one (else
+/// the id is empty).
 class WireError {
  public:
-  WireError(ErrorCode code, std::string detail)
-      : code_(code), detail_(std::move(detail)) {}
+  WireError(ErrorCode code, std::string detail, std::string id = {})
+      : code_(code), detail_(std::move(detail)), id_(std::move(id)) {}
 
   ErrorCode code() const { return code_; }
   const std::string& detail() const { return detail_; }
+  const std::string& id() const { return id_; }
 
  private:
   ErrorCode code_;
   std::string detail_;
+  std::string id_;
 };
 
 enum class Op : std::uint8_t { kSubmit, kStats };

@@ -7,12 +7,9 @@
 #include <sstream>
 #include <string_view>
 
+#include "rrfd_git_rev.h"  // generated: RRFD_GIT_REV
 #include "util/json.h"
 #include "util/str.h"
-
-#ifndef RRFD_GIT_REV
-#define RRFD_GIT_REV "unknown"
-#endif
 
 namespace rrfd::trace {
 

@@ -67,11 +67,13 @@ const char* kind_name(EventKind kind);
 const char* substrate_name(Substrate substrate);
 
 /// The git revision compiled into this binary (the RRFD_GIT_REV stamp
-/// every JsonlWriter meta line carries), or "unknown" when the build
-/// ran outside git. Consumers that key long-lived artifacts on the
-/// revision -- the job server's result cache above all -- must treat
-/// "unknown" as *uncacheable*: two different builds would otherwise
-/// share every key (see src/serve/cache.h).
+/// every JsonlWriter meta line carries): the short hash of HEAD when the
+/// binary was built, with "-dirty" if tracked files differed from it, or
+/// "unknown" when the build ran outside git (src/trace/git_rev.cmake).
+/// Consumers that key long-lived artifacts on the revision -- the job
+/// server's result cache above all -- must treat "unknown" as
+/// *uncacheable*: two different builds would otherwise share every key
+/// (see src/serve/cache.h).
 const char* build_git_rev();
 
 /// One structural event. Fixed-size and trivially copyable so the ring

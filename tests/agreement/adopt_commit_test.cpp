@@ -6,6 +6,8 @@
 
 #include "runtime/explorer.h"
 #include "runtime/schedulers.h"
+#include "sweep/sharded_explorer.h"
+#include "util/json.h"
 #include "util/str.h"
 
 namespace rrfd::agreement {
@@ -192,6 +194,96 @@ TEST(AdoptCommit, CollectProposalsSeesRoundOneWrites) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], std::optional<int>(11));
   EXPECT_FALSE(seen[1].has_value());
+}
+
+/// Passes every choice of the wrapped scheduler through, appending it to
+/// `bytes`: 's' or 'c' (step or crash), then the process id.
+class RecordingScheduler final : public runtime::Scheduler {
+ public:
+  RecordingScheduler(runtime::Scheduler& inner, std::string& bytes)
+      : inner_(inner), bytes_(bytes) {}
+  Choice pick(const core::ProcessSet& runnable, int step) override {
+    const Choice c = inner_.pick(runnable, step);
+    bytes_ += c.crash ? 'c' : 's';
+    bytes_ += static_cast<char>('0' + c.next);
+    return c;
+  }
+
+ private:
+  runtime::Scheduler& inner_;
+  std::string& bytes_;
+};
+
+/// One E10b schedule (n = 2). Appends its choices to `*visit`, then each
+/// process's result ('-' if it has none, else 'C' or 'A' and the value)
+/// and a newline; `visit` is null for sweep::explore_sharded's probe run.
+void run_e10b_schedule(const std::vector<int>& proposals,
+                       runtime::Scheduler& sched, std::string* visit) {
+  std::string choices;
+  RecordingScheduler recording(sched, choices);
+  auto out = run_adopt_commit(proposals, recording);
+  if (visit == nullptr) return;
+  *visit += choices;
+  for (const auto& r : out.results) {
+    *visit += !r ? "-" : cat(r->commit ? 'C' : 'A', r->value);
+  }
+  *visit += '\n';
+}
+
+TEST(AdoptCommitExplore, E10bCountsAndVisitOrderArePinned) {
+  // E10b's answers (3,432 crash-free schedules, 16,300 with one crash) and
+  // the order the explorer visits them in, with each schedule's results,
+  // digested in visit order. The serial explorer and the sharded one at
+  // 1 and 4 threads must all give the pinned digest.
+  struct Case {
+    std::vector<int> proposals;
+    int crashes;
+    long schedules;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {{0, 1}, 0, 3432, 0x83e59add62e8eeecULL},
+      {{0, 1}, 1, 16300, 0xeb309d08548f54d1ULL},
+      {{5, 5}, 0, 3432, 0x2643d15ca7ae479dULL},
+      {{5, 5}, 1, 16300, 0xb8b5aa5664f9e49dULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(cat("proposals {", c.proposals[0], ",", c.proposals[1],
+                     "}, crashes<=", c.crashes));
+    ScheduleExplorer::Options opts;
+    opts.max_schedules = 2000000;
+    opts.max_crashes = c.crashes;
+
+    std::string serial;
+    ScheduleExplorer explorer(opts);
+    const auto stats = explorer.explore([&](runtime::Scheduler& sched) {
+      run_e10b_schedule(c.proposals, sched, &serial);
+    });
+    EXPECT_TRUE(stats.exhausted);
+    EXPECT_EQ(stats.schedules, c.schedules);
+    EXPECT_EQ(fnv1a(serial), c.digest);
+
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(cat("sharded, threads ", threads));
+      std::vector<std::string> per_shard(4);
+      const auto sharded = sweep::explore_sharded(
+          opts,
+          [&](int shard) -> std::function<void(runtime::Scheduler&)> {
+            std::string* visit =
+                shard < 0 ? nullptr
+                          : &per_shard.at(static_cast<std::size_t>(shard));
+            return [&c, visit](runtime::Scheduler& sched) {
+              run_e10b_schedule(c.proposals, sched, visit);
+            };
+          },
+          threads);
+      EXPECT_TRUE(sharded.exhausted);
+      EXPECT_EQ(sharded.schedules, c.schedules);
+      std::string spliced;
+      for (const std::string& shard : per_shard) spliced += shard;
+      EXPECT_EQ(fnv1a(spliced), c.digest);
+    }
+  }
 }
 
 }  // namespace

@@ -235,6 +235,28 @@ TEST(ScheduleExplorer, ShardsPartitionTheTree) {
   EXPECT_EQ(spliced, serial);
 }
 
+TEST(ScheduleExplorer, ExploreShardRejectsARootListOfAnotherShape) {
+  // A decision point is stored as its runnable mask, so explore_shard
+  // takes only the shape root_alternatives() returns: each process's
+  // step by id, then possibly each one's crash in the same order.
+  const auto run_one = [](Scheduler& sched) {
+    Simulation sim(2, [](Context& ctx) { ctx.step(); });
+    sim.run(sched);
+  };
+  using C = Scheduler::Choice;
+  const std::vector<std::vector<C>> bad = {
+      {{1, false}, {0, false}},                       // not by id
+      {{0, false}, {1, false}, {0, true}},            // half the crashes
+      {{0, false}, {1, false}, {1, true}, {0, true}}, // crashes reordered
+      {{0, true}, {1, true}},                         // crashes, no steps
+      {{0, false}, {64, false}},                      // no such process
+  };
+  for (const auto& root : bad) {
+    ScheduleExplorer explorer;
+    EXPECT_THROW(explorer.explore_shard(root, 1, run_one), ContractViolation);
+  }
+}
+
 TEST(ScheduleExplorer, ExhaustiveCountGrowsWithProgramLength) {
   auto count = [](int steps_per_proc) {
     ScheduleExplorer::Options opts;

@@ -112,10 +112,10 @@ TEST(ServeCache, FailuresReachWaitersButAreNotCached) {
 }
 
 TEST(ServeCache, UnknownRevRefusesToCache) {
-  // trace.cpp stamps binaries built outside git with RRFD_GIT_REV
-  // "unknown"; under that stamp two *different* builds share every
-  // key, so caching would serve stale results across revisions. The
-  // cache must refuse wholesale.
+  // src/trace/git_rev.cmake stamps binaries built outside git with
+  // RRFD_GIT_REV "unknown"; under that stamp two *different* builds
+  // share every key, so caching would serve stale results across
+  // revisions. The cache must refuse wholesale.
   ResultCache cache(kUnknownRev);
   EXPECT_FALSE(cache.caching_enabled());
   std::shared_ptr<const JobResult> hit;

@@ -477,6 +477,48 @@ TEST(ServeServer, UnknownReplayProtocolIsANamedWireError) {
   EXPECT_EQ(server.stats().wire_errors, 1u);
 }
 
+TEST(ServeServer, WireErrorsEchoTheIdOnceItIsRead) {
+  // Golden error lines. A rejection after the parser has read a
+  // non-empty id names that request; one before it carries "id":"".
+  Server server(test_options());
+  Collector out;
+  const std::string head =
+      R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"w1",)";
+  server.submit_line(
+      head + R"("kind":"sweep","n":65,"k":2,"trials":1,"seed":7})",
+      out.sink());
+  server.submit_line(head + R"x("kind":"modelcheck","n":2,"rounds":1,)x"
+                            R"x("spec_a":"loss_cap(","spec_b":"loss_cap(1)"})x",
+                     out.sink());
+  server.submit_line(replay_line("w3", "flood_min", "{}"), out.sink());
+  server.submit_line(replay_line("w4", "paxos", "x"), out.sink());
+  server.submit_line(R"({"schema":"rrfd-job-v1","op":"submit","id":"w5")",
+                     out.sink());
+  server.submit_line(
+      R"({"schema":"rrfd-job-v1","op":"submit","id":"w6","kind":"sweep"})",
+      out.sink());
+  const std::vector<std::string> expected = {
+      R"({"schema":"rrfd-job-v1","ev":"error","id":"w1","code":"bad_value",)"
+      R"("detail":"field 'n' must be in [1, 64], got 65"})",
+      R"({"schema":"rrfd-job-v1","ev":"error","id":"w1","code":"bad_value",)"
+      R"("detail":"spec 'loss_cap(' does not parse: at offset 9: expected )"
+      R"(an integer in \"loss_cap(\""})",
+      R"({"schema":"rrfd-job-v1","ev":"error","id":"w3","code":"bad_value",)"
+      R"("detail":"embedded trace does not parse: trace line 1 col 2: )"
+      R"(expected '\"'"})",
+      R"({"schema":"rrfd-job-v1","ev":"error","id":"w4","code":"bad_value",)"
+      R"("detail":"unknown replay protocol 'paxos'"})",
+      R"({"schema":"rrfd-job-v1","ev":"error","id":"","code":"torn_line",)"
+      R"("detail":"line does not end in '}': likely a torn line from a )"
+      R"(concurrent/interrupted append"})",
+      R"({"schema":"rrfd-job-v1","ev":"error","id":"",)"
+      R"("code":"missing_field","detail":"required field 'client' is )"
+      R"(absent"})",
+  };
+  EXPECT_EQ(out.lines(), expected);
+  EXPECT_EQ(server.stats().wire_errors, 6u);
+}
+
 /// Floods nothing: every process broadcasts 0 and ignores what arrives.
 class SilentRounds final : public msgpass::RoundProtocol {
  public:

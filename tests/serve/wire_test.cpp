@@ -267,6 +267,59 @@ TEST(ServeWire, RejectionDetailsAreGolden) {
   }
 }
 
+/// The id a rejection of `line` carries.
+std::string rejected_id(const std::string& line) {
+  try {
+    (void)parse_request(line);
+  } catch (const WireError& e) {
+    return e.id();
+  }
+  ADD_FAILURE() << "expected a WireError for: " << line;
+  return "?";
+}
+
+TEST(ServeWire, RejectionCarriesTheIdOnceItIsRead) {
+  const std::string head =
+      R"({"schema":"rrfd-job-v1","op":"submit","client":"c","id":"j7",)";
+  // Rejected after the id was read: the error names the request.
+  for (const std::string& rest : {
+           std::string(R"("kind":"sweep","n":65,"k":2,"trials":1,"seed":7})"),
+           std::string(R"("kind":"sweep","n":4,"k":5,"trials":1,"seed":7})"),
+           std::string(R"("kind":"sweep","n":4,"k":2,"trials":1})"),
+           std::string(R"("kind":"sweep","n":4,"k":2,"trials":1,"seed":7,)"
+                       R"("zzz":1})"),
+           std::string(R"("kind":"modelcheck","n":2,"rounds":1,)"
+                       R"x("spec_a":"loss_cap(","spec_b":"loss_cap(1)"})x"),
+           std::string(R"("kind":"replay","protocol":"paxos","trace":"x"})"),
+           std::string(R"("kind":"replay","protocol":"flood_min","f":64,)"
+                       R"("trace":"x"})"),
+           std::string(R"("kind":"replay","protocol":"flood_min","f":1,)"
+                       R"("trace":"{}"})"),
+           std::string(R"("kind":"lattice"})"),
+       }) {
+    EXPECT_EQ(rejected_id(head + rest), "j7") << rest;
+  }
+  EXPECT_EQ(rejected_id(R"({"schema":"rrfd-job-v1","op":"submit",)"
+                        R"("client":"","id":"j8","kind":"sweep"})"),
+            "j8");
+  // Rejected before a non-empty id was read: no id to name.
+  for (const std::string& line : {
+           std::string(R"({"schema":"rrfd-job-v1","op":"submit","id":"j9")"),
+           std::string(R"({"schema":"rrfd-job-v1","op":"submit","id":"j9",)"
+                       R"("id":"j9"})"),
+           std::string(R"({"schema":"rrfd-job-v0","op":"submit","id":"j9"})"),
+           std::string(R"({"schema":"rrfd-job-v1","op":"cancel","id":"j9"})"),
+           std::string(R"({"schema":"rrfd-job-v1","op":"submit","id":"j9",)"
+                       R"("kind":"sweep"})"),
+           std::string(R"({"schema":"rrfd-job-v1","op":"submit","client":"c",)"
+                       R"("kind":"sweep"})"),
+           std::string(R"({"schema":"rrfd-job-v1","op":"submit","client":"c",)"
+                       R"("id":"","kind":"sweep"})"),
+       }) {
+    EXPECT_EQ(rejected_id(line), "") << line;
+  }
+}
+
 TEST(ServeWire, DanglingEscapeIsNamedInAnEmbeddedTrace) {
   // The request scanner cannot reach its own dangling-escape branch: the
   // torn-line guard only lets through text that ends in '}'. An embedded
