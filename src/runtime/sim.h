@@ -6,11 +6,12 @@
 // as a fiber with its own stack, all on the thread that calls
 // Simulation::run(): exactly one process runs at a time, and a Scheduler
 // decides who steps next. Every shared-memory operation calls
-// Context::step(), which is the only interleaving point -- it switches back
-// to the scheduler until the process is granted its next step. So a run is
-// one sequence of choices, fully determined by the schedule, and schedules
-// can be random (seeded), scripted, or enumerated exhaustively
-// (runtime/explorer.h).
+// Context::step(), which is the only interleaving point -- it asks the
+// scheduler for the next grant, hands control straight to the process
+// granted (or keeps it, if that is the caller) and returns when the caller
+// is granted its next step. So a run is one sequence of choices, fully
+// determined by the schedule, and schedules can be random (seeded),
+// scripted, or enumerated exhaustively (runtime/explorer.h).
 //
 // Crashes are injected by the scheduler: a crashed process's next step()
 // throws Crashed, unwinding its stack; the protocol simply stops there,
@@ -61,9 +62,10 @@ class Context {
   /// Number of processes in the simulation.
   int n() const;
 
-  /// Interleaving point: yields to the scheduler and resumes when granted
-  /// the next step. Every shared-memory operation calls this exactly once
-  /// before touching memory. Throws Crashed if this process was crashed.
+  /// Interleaving point: lets the scheduler pick the next step and returns
+  /// when this process is granted it. Every shared-memory operation calls
+  /// this exactly once before touching memory. Throws Crashed if this
+  /// process was crashed.
   void step();
 
  private:
@@ -76,7 +78,10 @@ class Context {
 
 /// Chooses the next process to step. Called with the set of processes that
 /// are alive and not finished; must return a member of it (or a crash
-/// decision for a member).
+/// decision for a member). It is called on the thread that runs the
+/// simulation, from run() or from inside a process's step(), under the
+/// floating-point control state of run()'s caller; what it throws leaves
+/// run(), never a process body.
 class Scheduler {
  public:
   struct Choice {
@@ -120,22 +125,28 @@ class Simulation {
 
   /// Executes to completion (every process finished or crashed).
   /// Exceptions other than Crashed thrown by process bodies are captured
-  /// and rethrown here after the run is wound down.
+  /// and rethrown here after the run is wound down; an exception from the
+  /// scheduler is rethrown here before any further step.
   SimOutcome run(Scheduler& scheduler, int max_steps = 1 << 20);
 
   int n() const { return static_cast<int>(bodies_.size()); }
 
  private:
   friend class Context;
+  struct Run;  // sim.cpp: the state of the run in progress
 
   void process_main(ProcId id) noexcept;  // a fiber's whole life
   void process_step(ProcId id);           // Context::step body
+  int next_grant() noexcept;              // a pick made on a process fiber
+  void grant(ProcId id);  // records it: trace event, schedule, step count
   void crash(ProcId id);
+  bool crashed(ProcId id) const { return (crash_flags_ >> id) & 1; }
 
   std::vector<Body> bodies_;
   std::uint64_t crash_flags_ = 0;  // bit p: p was crashed
   std::exception_ptr first_error_;
   std::unique_ptr<detail::FiberSet> fibers_;  // created by run()
+  Run* run_ = nullptr;  // set by run(), for the picks made on fibers
 };
 
 }  // namespace rrfd::runtime

@@ -6,9 +6,12 @@
 #include <array>
 #include <cfenv>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "runtime/schedulers.h"
+#include "util/json.h"
 
 namespace rrfd::runtime {
 namespace {
@@ -277,6 +280,26 @@ TEST(Simulation, FloatingPointControlModeIsPerFiber) {
   EXPECT_EQ(host_rounding, FE_TONEAREST);
 }
 
+TEST(Simulation, EveryFiberStartsWithTheHostsRoundingMode) {
+  // Under round-robin each process but the first starts from inside the
+  // step() of the one before it, which has set another rounding mode.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  int mismatches = 0;
+  Simulation sim(3, [&](Context& ctx) {
+    if (std::fegetround() != FE_TONEAREST) ++mismatches;
+    if (applied_rounding() != FE_TONEAREST) ++mismatches;
+    std::fesetround(FE_UPWARD);
+    ctx.step();
+  });
+  RoundRobinScheduler sched;
+  const SimOutcome out = sim.run(sched);
+  const int host_rounding = std::fegetround();
+  std::fesetround(FE_TONEAREST);  // so a failure here spoils no other test
+  EXPECT_EQ(out.completed, ProcessSet::all(3));
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(host_rounding, FE_TONEAREST);
+}
+
 /// What the abandonment test observes of each body: whether it started,
 /// how many steps it got past, and how often its locals were destroyed.
 struct BodyLog {
@@ -369,6 +392,145 @@ TEST(Simulation, AbandonedRunUnwindsEveryStartedBody) {
     }
     EXPECT_EQ(progress, (std::vector<int>{4, 2, 4}));
     expect_unwound_once(log, progress);
+  }
+}
+
+TEST(Simulation, SchedulerErrorsNeverReachABody) {
+  // Round-robin until step 5, then throws: by then every body is parked
+  // inside a step(), which must not see the scheduler's exception.
+  struct ThrowsAtFive final : Scheduler {
+    Choice pick(const ProcessSet& runnable, int step) override {
+      if (step == 5) throw std::runtime_error("scheduler failed");
+      return inner_.pick(runnable, step);
+    }
+    RoundRobinScheduler inner_;
+  };
+  BodyLog log(3);
+  int intercepted = 0;
+  {
+    Simulation sim(3, [&](Context& ctx) {
+      const auto i = static_cast<std::size_t>(ctx.id());
+      UnwindProbe probe{log.unwound[i]};
+      log.started[i] = true;
+      for (;;) {
+        try {
+          ctx.step();
+        } catch (const std::runtime_error&) {
+          ++intercepted;
+          throw;
+        }
+        ++log.progress[i];
+      }
+    });
+    ThrowsAtFive sched;
+    EXPECT_THROW(sim.run(sched), std::runtime_error);
+  }
+  EXPECT_EQ(intercepted, 0);
+  EXPECT_EQ(log.progress, (std::vector<int>{1, 1, 0}));
+  EXPECT_EQ(log.started, (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(log.unwound, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(Simulation, PicksMadeInsideAStepAreCheckedLikeTheHosts) {
+  // Crashes 2, starts 0, which grants 1, which then picks `bad`: that pick
+  // is made inside 1's step(). run() must reject it as if the host had
+  // made it, with no body past its first step.
+  struct Script final : Scheduler {
+    explicit Script(Choice bad) : bad_(bad) {}
+    Choice pick(const ProcessSet&, int) override {
+      const std::array<Choice, 4> script = {
+          {{2, true}, {0, false}, {1, false}, bad_}};
+      return script.at(next_++);
+    }
+    Choice bad_;
+    std::size_t next_ = 0;
+  };
+  const std::pair<Scheduler::Choice, std::string> cases[] = {
+      {{2, false}, "scheduler picked a process that is not runnable"},
+      {{2, true}, "scheduler picked a process that is not runnable"},
+      {{7, false}, "precondition failed: (0 <= p && p < n_)"},
+  };
+  for (const auto& [bad, message] : cases) {
+    int progress = 0;
+    Simulation sim(3, [&](Context& ctx) {
+      for (;;) {
+        ctx.step();
+        ++progress;
+      }
+    });
+    Script sched(bad);
+    try {
+      sim.run(sched);
+      ADD_FAILURE() << "run() returned";
+    } catch (const ContractViolation& e) {
+      EXPECT_EQ(e.message(), message);
+    }
+    EXPECT_EQ(progress, 0);
+  }
+}
+
+/// FNV-1a over what the scheduler saw and chose at every pick (runnable
+/// mask, step, choice), then the outcome and each body's progress, for n
+/// bodies where body i takes 3 + i steps under a crashing random
+/// scheduler.
+std::uint64_t scheduler_view_digest(int n, std::uint64_t seed) {
+  struct Recorder final : Scheduler {
+    Recorder(Scheduler& inner, std::string& bytes)
+        : inner_(inner), bytes_(bytes) {}
+    Choice pick(const ProcessSet& runnable, int step) override {
+      const Choice c = inner_.pick(runnable, step);
+      bytes_ += std::to_string(runnable.bits()) + ' ' + std::to_string(step) +
+                ' ' + std::to_string(c.next) + (c.crash ? " c;" : " s;");
+      return c;
+    }
+    Scheduler& inner_;
+    std::string& bytes_;
+  };
+  std::string bytes;
+  std::vector<int> progress(static_cast<std::size_t>(n), 0);
+  Simulation sim(n, [&](Context& ctx) {
+    for (int s = 0; s < 3 + ctx.id(); ++s) {
+      ctx.step();
+      ++progress[static_cast<std::size_t>(ctx.id())];
+    }
+  });
+  RandomScheduler random(seed, /*crash_prob=*/0.05, /*max_crashes=*/n - 1);
+  Recorder recorder(random, bytes);
+  const SimOutcome out = sim.run(recorder);
+  bytes += '|' + std::to_string(out.completed.bits()) + ' ' +
+           std::to_string(out.crashed.bits()) + ' ' +
+           std::to_string(out.steps) + '|';
+  for (ProcId p : out.schedule) bytes += std::to_string(p) + ' ';
+  bytes += '|';
+  for (int v : progress) bytes += std::to_string(v) + ' ';
+  return fnv1a(bytes);
+}
+
+TEST(Simulation, SchedulerViewIsPinned) {
+  // Captured from the runtime whose host made every pick; a runtime that
+  // picks elsewhere must show each pick the same view in the same order.
+  struct Case {
+    int n;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {2, 1, 9092305196047850579u},
+      {2, 2, 4563777872836412853u},
+      {2, 3, 18142902400992851630u},
+      {2, 4, 8774141718759072507u},
+      {4, 1, 3921091964169768692u},
+      {4, 2, 2907459828924773765u},
+      {4, 3, 13469954701525335085u},
+      {4, 4, 5378957027001988921u},
+      {8, 1, 3540400670348746469u},
+      {8, 2, 7984108439630474498u},
+      {8, 3, 4653497113065874807u},
+      {8, 4, 11031635146486552166u},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(scheduler_view_digest(c.n, c.seed), c.digest)
+        << "n = " << c.n << ", seed = " << c.seed;
   }
 }
 
